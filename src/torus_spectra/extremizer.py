@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import run_chunks
 from .errors import ContractError
 from .lattice import Point, SphereShell
 from .spectra import (
@@ -264,9 +265,7 @@ def maximize(
             for sl in slices
             if len(sl)
         ]
-        from .lemma import _run_chunks
-
-        results = [r for part in _run_chunks(_restart_chunk, argses, threads) for r in part]
+        results = [r for part in run_chunks(_restart_chunk, argses, threads) for r in part]
     else:
         results = _restart_chunk(
             shell.dim, shell.lam, support_t, p, cfg_fields, indices, keep_history

@@ -19,6 +19,19 @@ move the anchor onto the shell, so {+-(v_1 - eta) : eta in shell} already
 contains every admissible class. All arithmetic is exact; affine rank is
 decided by fraction-free integer elimination, never by a floating-point
 tolerance.
+
+Every subset is classified antipodal first, then degenerate (affine rank
+below n - 1), then checked, so each tally depends on the subset alone.
+The signed permutations B_n map the shell onto itself and preserve all of
+these, so the exhaustive sweep is anchored at one representative r per
+vertex orbit (the points sharing a multiset of |coordinates|): over the
+m-subsets S of the shell,
+
+    sum_S f(S) = (1/m) sum_r |orbit(r)| sum_{S containing r} f(S).
+
+Violations found at r are mapped back to the whole orbit by one signed
+permutation per orbit point (a coset representative of r's stabilizer)
+and re-derived through the reference membership path.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ from math import comb, isqrt
 import numpy as np
 
 from ._packing import pack_rows, pack_spec
+from ._parallel import run_chunks
 from .errors import (
     AntipodalError,
     ContractError,
@@ -185,12 +199,30 @@ def find_translates(simplex: Simplex) -> TranslateReport:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive sweeps. Subsets are enumerated as index chains i_1 < ... < i_m
-# over the canonical point order. The recursion carries the surviving
-# candidate classes of the prefix (a tau admissible for the subset must be
-# admissible for every prefix), the echelon basis of difference rows for
-# exact rank pruning, and a bitmask of forbidden (antipodal) partners, so
-# invalid or hopeless branches are cut with their subset counts tallied.
+# Exhaustive sweeps, anchored at vertex-orbit representatives. A signed
+# permutation g (a permutation of the coordinates with a sign on each)
+# maps the shell onto itself and preserves antipodal pairs, affine rank,
+# admissible translate classes and edge classes, so every tally f
+# (checked, either skip, each histogram bin) satisfies f(gS) = f(S) and
+#
+#     sum_S f(S) = (1/m) sum_r |orbit(r)| sum_{S containing r} f(S),
+#
+# since each m-subset is counted once per vertex and every vertex of an
+# orbit sees the same subsets up to g. Shell(4,12) has two vertex orbits,
+# (3,1,1,1) with 64 points and (2,2,2,0) with 32, so 276,830 anchored
+# subsets stand for C(96,4) = 3,321,960. For each representative r, the
+# other points are enumerated as index chains in canonical order. The
+# recursion carries the surviving candidate classes of the prefix (a tau
+# admissible for the subset must be admissible for every prefix), the
+# echelon basis of difference rows to r for exact rank pruning, and a
+# bitmask of forbidden (antipodal) partners. A cut branch is tallied in
+# closed form, antipodal first: a rank-deficient prefix splits its
+# completions into those holding an antipodal pair and the degenerate rest.
+#
+# A violation is any subset gS with S a violation at r, and violations at
+# r are closed under the stabilizer of r; so one g_v per orbit point v,
+# with g_v(r) = v, maps the violations at r onto all violations touching
+# the orbit. B_n itself (2^n n! elements) is never built.
 
 
 class _SweepTables:
@@ -203,8 +235,10 @@ class _SweepTables:
         tau_id: dict[Point, int] = {}
         taus: list[Point] = []
         cand: list[list[int]] = []
+        pair: list[list[int]] = []
         for i, p in enumerate(pts):
             seen = set()
+            row = [-1] * n
             for j, q in enumerate(pts):
                 if i == j:
                     continue
@@ -215,7 +249,9 @@ class _SweepTables:
                     tau_id[t] = tid
                     taus.append(t)
                 seen.add(tid)
+                row[j] = tid
             cand.append(sorted(seen, key=taus.__getitem__))
+            pair.append(row)
         adm = [0] * len(taus)
         index = self.index
         for tid, t in enumerate(taus):
@@ -224,20 +260,10 @@ class _SweepTables:
                 if _diff(p, t) in index or _add(p, t) in index:
                     mask |= 1 << i
             adm[tid] = mask
-        self.tau_id = tau_id
-        self.taus = taus
         self.cand = cand
+        self.pair = pair  # pair[i][j]: class id of +-(p_i - p_j)
         self.adm = adm
         self.n = n
-        self._pair_cache: dict[tuple[int, int], int] = {}
-
-    def pair_tau(self, i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        tid = self._pair_cache.get(key)
-        if tid is None:
-            tid = self.tau_id[sign_canonical(_diff(self.pts[key[0]], self.pts[key[1]]))]
-            self._pair_cache[key] = tid
-        return tid
 
 
 @lru_cache(maxsize=4)
@@ -262,11 +288,24 @@ def _reduce_row(row: list[int], rows: list[tuple[int, list[int]]]):
     return None
 
 
-def _exhaustive_chunk(dim: int, lam: int, m: int, lo: int, hi: int) -> dict:
-    """Sweep all index chains whose first index lies in [lo, hi)."""
+def _antipodal_free(pool: list[int], neg: list[int], k: int) -> int:
+    """Number of k-subsets of the point indices `pool` holding no antipodal pair."""
+    members = set(pool)
+    pairs = sum(1 for i in pool if neg[i] in members) // 2
+    single = len(pool) - 2 * pairs
+    return sum(comb(pairs, i) * 2**i * comb(single, k - i) for i in range(min(pairs, k) + 1))
+
+
+def _exhaustive_chunk(dim: int, lam: int, m: int, anchor: int, lo: int, hi: int) -> dict:
+    """Sweep the m-subsets holding `anchor` whose next vertex is others[lo:hi].
+
+    `others` is the canonical point order without the anchor. Tallies are
+    unweighted; violations are sorted index tuples containing the anchor.
+    """
     tb = _sweep_tables(dim, lam)
-    n, pts, neg = tb.n, tb.pts, tb.neg
-    cand, adm = tb.cand, tb.adm
+    pts, neg = tb.pts, tb.neg
+    cand, adm, pair = tb.cand, tb.adm, tb.pair
+    others = [j for j in range(tb.n) if j != anchor]
     need_rank = dim - 1
     checked = 0
     sk_anti = 0
@@ -275,29 +314,33 @@ def _exhaustive_chunk(dim: int, lam: int, m: int, lo: int, hi: int) -> dict:
     hist: dict[int, int] = {}
     violations: list[tuple[int, ...]] = []
     edge_count: dict[int, int] = {}
-    chosen: list[int] = []
+    chosen: list[int] = [anchor]
+    origin = pts[anchor]
 
     def recurse(k: int, start: int, stop: int, candids, rows, forb: int) -> None:
         nonlocal checked, sk_anti, sk_degen, max_ne
         remaining = m - k - 1
-        for j in range(start, stop):
+        for pos in range(start, stop):
+            j = others[pos]
+            later = len(others) - 1 - pos
             if (forb >> j) & 1:
-                sk_anti += comb(n - 1 - j, remaining)
+                sk_anti += comb(later, remaining)
                 continue
-            if k == 0:
-                nrows = []
-                ncand = cand[j]
-            else:
-                red = _reduce_row([a - b for a, b in zip(pts[j], pts[chosen[0]])], rows)
-                nrank = len(rows) + (0 if red is None else 1)
-                if nrank + remaining < need_rank:
-                    sk_degen += comb(n - 1 - j, remaining)
-                    continue
-                nrows = rows if red is None else rows + [red]
-                ncand = [t for t in candids if (adm[t] >> j) & 1]
+            red = _reduce_row([a - b for a, b in zip(pts[j], origin)], rows)
+            nrank = len(rows) + (0 if red is None else 1)
+            nforb = forb | (1 << neg[j])
+            if nrank + remaining < need_rank:
+                pool = [i for i in others[pos + 1:] if not (nforb >> i) & 1]
+                free = _antipodal_free(pool, neg, remaining)
+                sk_degen += free
+                sk_anti += comb(later, remaining) - free
+                continue
+            nrows = rows if red is None else rows + [red]
+            ncand = [t for t in candids if (adm[t] >> j) & 1]
+            pair_j = pair[j]
             added = []
             for c in chosen:
-                tid = tb.pair_tau(c, j)
+                tid = pair_j[c]
                 edge_count[tid] = edge_count.get(tid, 0) + 1
                 added.append(tid)
             chosen.append(j)
@@ -308,9 +351,9 @@ def _exhaustive_chunk(dim: int, lam: int, m: int, lo: int, hi: int) -> dict:
                 if ne > max_ne:
                     max_ne = ne
                 if ne > 2 ** (dim - 1):
-                    violations.append(tuple(chosen))
+                    violations.append(tuple(sorted(chosen)))
             else:
-                recurse(k + 1, j + 1, n, ncand, nrows, forb | (1 << neg[j]))
+                recurse(k + 1, pos + 1, len(others), ncand, nrows, nforb)
             chosen.pop()
             for tid in added:
                 if edge_count[tid] == 1:
@@ -318,7 +361,7 @@ def _exhaustive_chunk(dim: int, lam: int, m: int, lo: int, hi: int) -> dict:
                 else:
                     edge_count[tid] -= 1
 
-    recurse(0, lo, hi, None, [], 0)
+    recurse(1, lo, hi, cand[anchor], [], 1 << neg[anchor])
     return {
         "checked": checked,
         "antipodal": sk_anti,
@@ -327,6 +370,31 @@ def _exhaustive_chunk(dim: int, lam: int, m: int, lo: int, hi: int) -> dict:
         "hist": hist,
         "violations": violations,
     }
+
+
+def _vertex_orbits(points: tuple[Point, ...]) -> list[tuple[Point, list[Point]]]:
+    """Vertex orbits of B_n as (representative, members), by representative.
+
+    The representative lists the shared |coordinates| in descending order.
+    """
+    orbits: dict[Point, list[Point]] = {}
+    for p in points:
+        orbits.setdefault(tuple(sorted(map(abs, p), reverse=True)), []).append(p)
+    return sorted(orbits.items())
+
+
+def _coset_map(v: Point):
+    """A signed permutation g with g(r) = v, r the orbit representative of v."""
+    order = sorted(range(len(v)), key=lambda i: -abs(v[i]))
+    signs = [-1 if v[i] < 0 else 1 for i in order]
+
+    def g(x: Point) -> Point:
+        out = [0] * len(x)
+        for k, (i, s) in enumerate(zip(order, signs)):
+            out[i] = s * x[k]
+        return tuple(out)
+
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +497,6 @@ def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
-def _run_chunks(fn, argses, threads: int):
-    if threads <= 1 or len(argses) <= 1:
-        return [fn(*a) for a in argses]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, *zip(*argses)))
-
-
 def verify_lemma(
     shell: SphereShell,
     mode: str = "exhaustive",
@@ -448,12 +507,16 @@ def verify_lemma(
 ) -> LemmaSweepReport:
     """Sweep vertex subsets of the shell and tally translate counts.
 
-    Exhaustive mode visits every subset of size dim + extra_points (guarded
-    at 10^7 combinations); sampled mode draws seeded random subsets until
-    `count` valid simplices have been checked (or a 50x attempt cap is
-    hit). Invalid subsets are skipped and tallied by reason, antipodal
-    checked before degeneracy. The result is deterministic for a fixed
-    seed and identical for any thread count; violations, if any exist, are
+    Exhaustive mode accounts for every subset of size m = dim +
+    extra_points (guarded at 10^7 combinations) but visits only those
+    holding a vertex-orbit representative r, weighting r's tallies by
+    |orbit(r)| / m; sampled mode draws seeded random subsets until `count`
+    valid simplices have been checked (or a 50x attempt cap is hit).
+    Invalid subsets are skipped and tallied by reason, antipodal checked
+    before degeneracy in both modes. Exhaustive violations found at r are
+    expanded by one signed permutation per point of r's orbit, deduplicated
+    and listed in index order. The result is deterministic for a fixed seed
+    and identical for any thread count; violations, if any exist, are
     re-derived through the reference membership path and preserved
     verbatim.
     """
@@ -479,26 +542,36 @@ def verify_lemma(
                 **base, simplices_checked=0, skipped_degenerate=0, skipped_antipodal=0,
                 max_nonedge_count=0, histogram={}, violations=(),
             )
-        ranges = _split_ranges(n, max(1, threads * 4)) if threads > 1 else [(0, n)]
-        argses = [(shell.dim, shell.lam, m, lo, hi) for lo, hi in ranges]
-        parts = _run_chunks(_exhaustive_chunk, argses, threads)
-        checked = sum(p["checked"] for p in parts)
-        sk_a = sum(p["antipodal"] for p in parts)
-        sk_d = sum(p["degenerate"] for p in parts)
-        max_ne = max((p["max_ne"] for p in parts), default=0)
-        hist: dict[int, int] = {}
-        for p in parts:
-            for k, v in p["hist"].items():
-                hist[k] = hist.get(k, 0) + v
+        orbits = _vertex_orbits(shell.points)
         tables = _sweep_tables(shell.dim, shell.lam)
-        violations = []
-        for p in parts:
-            for idx in p["violations"]:
-                violations.append(_materialize(shell, tuple(tables.pts[i] for i in idx), budget))
+        ranges = _split_ranges(n - 1, max(1, threads * 4)) if threads > 1 else [(0, n - 1)]
+        tasks = [(rep, members, lo, hi) for rep, members in orbits for lo, hi in ranges]
+        argses = [(shell.dim, shell.lam, m, tables.index[rep], lo, hi) for rep, _, lo, hi in tasks]
+        parts = run_chunks(_exhaustive_chunk, argses, threads)
+        weights = [len(members) for _, members, _, _ in tasks]
+
+        def total(counts) -> int:
+            # exact: every m-subset is counted once per vertex
+            return sum(w * c for w, c in zip(weights, counts)) // m
+
+        hist: dict[int, int] = {}
+        for w, p in zip(weights, parts):
+            for k, v in p["hist"].items():
+                hist[k] = hist.get(k, 0) + w * v
+        found: set[tuple[int, ...]] = set()
+        for (_, members, _, _), p in zip(tasks, parts):
+            for g in map(_coset_map, members):
+                for idx in p["violations"]:
+                    found.add(tuple(sorted(tables.index[g(tables.pts[i])] for i in idx)))
+        violations = tuple(
+            _materialize(shell, tuple(tables.pts[i] for i in idx), budget) for idx in sorted(found)
+        )
         return LemmaSweepReport(
-            **base, simplices_checked=checked, skipped_degenerate=sk_d,
-            skipped_antipodal=sk_a, max_nonedge_count=max_ne,
-            histogram=dict(sorted(hist.items())), violations=tuple(violations),
+            **base, simplices_checked=total(p["checked"] for p in parts),
+            skipped_degenerate=total(p["degenerate"] for p in parts),
+            skipped_antipodal=total(p["antipodal"] for p in parts),
+            max_nonedge_count=max((p["max_ne"] for p in parts), default=0),
+            histogram={k: v // m for k, v in sorted(hist.items())}, violations=violations,
         )
 
     if mode != "sampled":
@@ -528,7 +601,7 @@ def verify_lemma(
             argses = [
                 (shell.dim, shell.lam, m, [batch[i] for i in sl]) for sl in slices if len(sl)
             ]
-            outcomes = [o for part in _run_chunks(_sampled_chunk, argses, threads) for o in part]
+            outcomes = [o for part in run_chunks(_sampled_chunk, argses, threads) for o in part]
         else:
             outcomes = _sampled_chunk(shell.dim, shell.lam, m, batch)
         for idx, (status, ne) in zip(batch, outcomes):

@@ -125,6 +125,15 @@ def test_lemma_budget_excess_exits_1():
     assert obj["max_nonedge_count"] == 9
 
 
+def test_lemma_exhaustive_byte_identical_across_threads():
+    argv = ["lemma", "--dim", "4", "--lambda", "4"]
+    code1, out1, _ = run_cli(argv + ["--threads", "1"])
+    code3, out3, _ = run_cli(argv + ["--threads", "3"])
+    assert code1 == code3 == 0
+    assert out1 == out3
+    assert json.loads(out1)["mode"] == "exhaustive"
+
+
 def test_lemma_guard_exits_2():
     code, _, err = run_cli(["lemma", "--dim", "5", "--lambda", "5", "--mode", "exhaustive"])
     assert code == 2

@@ -2,7 +2,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from conftest import full_scan_translates, sign_flip_degenerate
+from conftest import admissible_subset_count, full_scan_translates, sign_flip_degenerate
 
 from torus_spectra import (
     AntipodalError,
@@ -17,7 +17,7 @@ from torus_spectra import (
     verify_lemma,
 )
 from torus_spectra.lattice import negate
-from torus_spectra.lemma import affine_rank
+from torus_spectra.lemma import _translate_sets, affine_rank
 
 
 # --------------------------------------------------------------------------
@@ -144,21 +144,63 @@ def test_exhaustive_triples_3_9():
     assert total == comb(len(shell), 3)
 
 
-def test_exhaustive_agrees_with_reference_path():
-    shell = enumerate_shell(3, 9)
-    report = verify_lemma(shell, mode="exhaustive")
+@pytest.mark.parametrize(
+    "dim,lam,extra",
+    [(2, 25, 0), (3, 9, 0), (3, 9, 1), (4, 4, 0), (5, 1, 0)],
+    ids=["2-25", "3-9", "3-9-extra1", "4-4", "5-1"],
+)
+def test_exhaustive_agrees_with_reference_path(dim, lam, extra):
+    """Every report field against a naive per-subset tally over all subsets.
+
+    Each subset is classified antipodal first, then by affine rank, then
+    counted through the reference translate path; the sweep must agree
+    although it only visits subsets holding a vertex-orbit representative.
+    """
+    shell = enumerate_shell(dim, lam)
+    report = verify_lemma(shell, mode="exhaustive", extra_points=extra)
+    budget = 2 ** (dim - 1)
+    checked = antipodal = degenerate = 0
     hist: dict[int, int] = {}
-    checked = 0
-    for verts in combinations(shell.points, 3):
-        try:
-            simplex = validate_simplex(shell, verts)
-        except ContractError:
+    violations = []
+    for verts in combinations(shell.points, dim + extra):
+        if any(negate(a) == b for a, b in combinations(verts, 2)):
+            antipodal += 1
+            continue
+        if affine_rank(verts) < dim - 1:
+            degenerate += 1
             continue
         checked += 1
-        ne = find_translates(simplex).non_edge_count
+        translates, edges = _translate_sets(shell, verts)
+        ne = len(translates) - len(edges)
         hist[ne] = hist.get(ne, 0) + 1
-    assert checked == report.simplices_checked
-    assert hist == report.histogram
+        if ne > budget:
+            violations.append((verts, translates, edges))
+    assert report.simplices_checked == checked
+    assert report.skipped_antipodal == antipodal
+    assert report.skipped_degenerate == degenerate
+    assert report.histogram == dict(sorted(hist.items()))
+    assert report.max_nonedge_count == max(hist, default=0)
+    assert [
+        (v.simplex.vertices, v.translates, v.edge_translates) for v in report.violations
+    ] == violations
+
+
+def test_exhaustive_classifies_antipodal_before_degenerate():
+    """A low-rank prefix must not hide an antipodal pair among its completions.
+
+    On shell(5,2) four points can be coplanar, so the rank pruning fires
+    before the fifth vertex is chosen; every 5-subset holding an antipodal
+    pair still counts as antipodal, as in sampled mode.
+    """
+    shell = enumerate_shell(5, 2)
+    report = verify_lemma(shell, mode="exhaustive")
+    n = len(shell)
+    assert n == 40
+    assert report.skipped_antipodal == comb(n, 5) - comb(n // 2, 5) * 2**5 == 161880
+    assert report.simplices_checked == admissible_subset_count(shell) == 460368
+    assert report.skipped_degenerate == 35760
+    total = report.simplices_checked + report.skipped_antipodal + report.skipped_degenerate
+    assert total == comb(n, 5)
 
 
 def test_empty_and_tiny_shells():
@@ -211,10 +253,12 @@ def test_sampled_requires_count():
 
 
 def test_threads_do_not_change_results():
-    shell = enumerate_shell(3, 41)
-    assert verify_lemma(shell, mode="exhaustive", threads=2) == verify_lemma(
-        shell, mode="exhaustive", threads=1
-    )
+    # several vertex orbits, an extra point, and rank pruning on shell(5,2)
+    for dim, lam, extra in [(3, 41, 0), (4, 4, 0), (3, 9, 1), (5, 2, 0)]:
+        shell = enumerate_shell(dim, lam)
+        assert verify_lemma(
+            shell, mode="exhaustive", extra_points=extra, threads=2
+        ) == verify_lemma(shell, mode="exhaustive", extra_points=extra, threads=1)
     shell5 = enumerate_shell(5, 5)
     assert verify_lemma(shell5, mode="sampled", count=1500, seed=3, threads=2) == verify_lemma(
         shell5, mode="sampled", count=1500, seed=3, threads=1
