@@ -4,9 +4,10 @@ Row (c_0, ..., c_{d-1}) with every |c_i| <= bias maps to
 sum_i (c_i + bias) * radix^(d-1-i), radix = 2*bias + 1. The map is
 injective and order-preserving (numeric key order == lexicographic row
 order), which lets membership tests and difference-vector deduplication
-run through sorted int64 arrays instead of tuple hashing. Returns None
-from `pack_spec` when the key would not fit in int64; callers fall back
-to an exact slow path.
+run through sorted int64 arrays instead of tuple hashing. `pack_spec`
+returns None when the key would not fit in int64: `lemma` then refuses
+the sweep, and `spectra` deduplicates difference rows with
+`np.unique(axis=0)` instead.
 """
 
 from __future__ import annotations
@@ -27,17 +28,6 @@ def pack_rows(rows: np.ndarray, bias: int, radix: int) -> np.ndarray:
     for d in range(rows.shape[1]):
         keys = keys * radix + (rows[:, d] + bias)
     return keys
-
-
-def pack_rows_checked(rows: np.ndarray, bias: int, radix: int) -> tuple[np.ndarray, np.ndarray]:
-    """Like pack_rows but also returns a validity mask; out-of-range rows get key -1."""
-    keys = np.zeros(rows.shape[0], dtype=np.int64)
-    ok = np.ones(rows.shape[0], dtype=bool)
-    for d in range(rows.shape[1]):
-        c = rows[:, d]
-        ok &= (c >= -bias) & (c <= bias)
-        keys = keys * radix + (c + bias)
-    return np.where(ok, keys, -1), ok
 
 
 def unpack_keys(keys: np.ndarray, dim: int, bias: int, radix: int) -> np.ndarray:

@@ -23,9 +23,8 @@ from .extremizer import ExtremizerConfig, maximize, report_passes_bound
 from .lattice import enumerate_shell, shell_to_json
 from .lemma import sweep_to_json, verify_lemma
 from .spectra import (
-    BOUND_SLACK,
-    applicable_bound,
     autocorrelation,
+    bound_verdict,
     coeffs_from_json,
     coeffs_to_json,
     lp_norm,
@@ -107,8 +106,7 @@ def cmd_spectrum(args) -> int:
     p = float(args.p) if args.p is not None else float(shell.dim)
     spectrum = autocorrelation(coeffs)
     value = lp_norm(spectrum, p)
-    bound = applicable_bound(shell.dim, p)
-    passed = bound is None or value <= bound + BOUND_SLACK
+    bound, passed = bound_verdict(shell.dim, p, value)
     _emit(
         {
             "dim": shell.dim,
@@ -181,8 +179,7 @@ def cmd_sweep(args) -> int:
         for trial in range(args.random_trials):
             coeffs = random_coeffs(shell, seed=_trial_seed(args.seed, lam, trial), mode="gaussian")
             lp_value = max(lp_value, lp_norm(autocorrelation(coeffs), p))
-        bound = applicable_bound(shell.dim, p)
-        passed = bound is None or lp_value <= bound + BOUND_SLACK
+        bound, passed = bound_verdict(shell.dim, p, lp_value)
         all_passed &= passed
         if args.lemma_sample is not None:
             lemma_report = verify_lemma(

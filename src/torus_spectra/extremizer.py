@@ -31,10 +31,10 @@ from ._parallel import run_chunks
 from .errors import ContractError
 from .lattice import Point, SphereShell
 from .spectra import (
-    BOUND_SLACK,
     EigenfunctionCoeffs,
     applicable_bound,
     autocorrelation,
+    bound_verdict,
     lp_norm,
     pair_structure,
 )
@@ -300,4 +300,4 @@ def maximize(
 
 
 def report_passes_bound(report: ExtremalReport) -> bool:
-    return report.bound_value is None or report.best_value <= report.bound_value + BOUND_SLACK
+    return bound_verdict(report.best_coeffs.shell.dim, report.p, report.best_value)[1]

@@ -20,6 +20,15 @@ contains every admissible class. All arithmetic is exact; affine rank is
 decided by fraction-free integer elimination, never by a floating-point
 tolerance.
 
+Both sweeps share one table per shell: the points packed into sorted int64
+keys, whose only use is a binary-search membership test. The anchor's
+candidate classes need no deduplication, because distinct shell points q
+give distinct classes +-(v_1 - q): q + q' = 2 v_1 forces q = q' = v_1 on a
+sphere. A sweep over a shell whose keys do not fit in int64 is refused
+with ResourceLimitError. Single simplices (`find_translates`) and the
+re-derivation of every violation use the reference path instead: plain
+set membership, independent of the keys.
+
 Every subset is classified antipodal first, then degenerate (affine rank
 below n - 1), then checked, so each tally depends on the subset alone.
 The signed permutations B_n map the shell onto itself and preserve all of
@@ -167,8 +176,8 @@ def _translate_sets(
     """Reference path: admissible translate classes of a vertex tuple.
 
     Scans the anchored candidate set with plain membership queries; used
-    for single simplices and to materialize sweep findings independently
-    of the batched fast path.
+    for single simplices and to re-derive sweep findings independently of
+    the packed-key fast path.
     """
     anchor = verts[0]
     candidates = sorted({sign_canonical(_diff(anchor, q)) for q in shell.points if q != anchor})
@@ -211,13 +220,16 @@ def find_translates(simplex: Simplex) -> TranslateReport:
 # orbit sees the same subsets up to g. Shell(4,12) has two vertex orbits,
 # (3,1,1,1) with 64 points and (2,2,2,0) with 32, so 276,830 anchored
 # subsets stand for C(96,4) = 3,321,960. For each representative r, the
-# other points are enumerated as index chains in canonical order. The
-# recursion carries the surviving candidate classes of the prefix (a tau
-# admissible for the subset must be admissible for every prefix), the
-# echelon basis of difference rows to r for exact rank pruning, and a
-# bitmask of forbidden (antipodal) partners. A cut branch is tallied in
-# closed form, antipodal first: a rank-deficient prefix splits its
-# completions into those holding an antipodal pair and the degenerate rest.
+# other points are enumerated as index chains in canonical order. Its N - 1
+# candidate classes, one per other point q, each get a bitmask of the
+# points they move onto the shell, from two packed-key lookups over all
+# (q, p). The recursion carries the surviving candidate classes of the
+# prefix (a tau admissible for the subset must be admissible for every
+# prefix), the echelon basis of difference rows to r for exact rank
+# pruning, and a bitmask of forbidden (antipodal) partners. A cut branch
+# is tallied in closed form, antipodal first: a rank-deficient prefix
+# splits its completions into those holding an antipodal pair and the
+# degenerate rest.
 #
 # A violation is any subset gS with S a violation at r, and violations at
 # r are closed under the stabilizer of r; so one g_v per orbit point v,
@@ -225,50 +237,64 @@ def find_translates(simplex: Simplex) -> TranslateReport:
 # the orbit. B_n itself (2^n n! elements) is never built.
 
 
-class _SweepTables:
+class _Tables:
+    """Packed int64 keys of one shell: the one membership test of both sweeps.
+
+    With bias = 3*isqrt(lam), the key of a row x with |x_k| <= bias is
+    K0 + L(x), L linear and positive exactly on the rows whose first nonzero
+    coordinate is positive. For shell points v, r, q every query row
+    v +- (r - q) stays within the bias, and its key is key(v) +- c with the
+    chord key c = key(r) - key(q) = L(r - q); |c| identifies the class
+    +-(r - q), so chords and edges compare as plain integers. Shells whose
+    keys do not fit in int64 are refused.
+    """
+
     def __init__(self, shell: SphereShell):
-        pts = shell.points
-        n = len(pts)
-        self.pts = pts
-        self.index = {p: i for i, p in enumerate(pts)}
-        self.neg = [self.index[negate(p)] for p in pts]
-        tau_id: dict[Point, int] = {}
-        taus: list[Point] = []
-        cand: list[list[int]] = []
-        pair: list[list[int]] = []
-        for i, p in enumerate(pts):
-            seen = set()
-            row = [-1] * n
-            for j, q in enumerate(pts):
-                if i == j:
-                    continue
-                t = sign_canonical(_diff(p, q))
-                tid = tau_id.get(t)
-                if tid is None:
-                    tid = len(taus)
-                    tau_id[t] = tid
-                    taus.append(t)
-                seen.add(tid)
-                row[j] = tid
-            cand.append(sorted(seen, key=taus.__getitem__))
-            pair.append(row)
-        adm = [0] * len(taus)
-        index = self.index
-        for tid, t in enumerate(taus):
-            mask = 0
-            for i, p in enumerate(pts):
-                if _diff(p, t) in index or _add(p, t) in index:
-                    mask |= 1 << i
-            adm[tid] = mask
-        self.cand = cand
-        self.pair = pair  # pair[i][j]: class id of +-(p_i - p_j)
-        self.adm = adm
-        self.n = n
+        spec = pack_spec(shell.dim, 3 * isqrt(shell.lam))
+        if spec is None:
+            raise ResourceLimitError(
+                f"shell({shell.dim}, {shell.lam}) coordinates do not pack into int64 keys"
+            )
+        self.dim = shell.dim
+        self.pts = shell.points
+        self.n = len(self.pts)
+        self.index = {p: i for i, p in enumerate(self.pts)}
+        self.neg = [self.index[negate(p)] for p in self.pts]
+        arr = np.array(self.pts, dtype=np.int64).reshape(self.n, shell.dim)
+        self.keys = pack_rows(arr, *spec)  # ascending: points are in lexicographic order
+        self.key_list = self.keys.tolist()
+
+    def chords(self, r: int) -> np.ndarray:
+        """Chord keys key(r) - key(q) over the other points q, in point order."""
+        return np.delete(self.keys[r] - self.keys, r)
+
+    def on_shell(self, keys: np.ndarray) -> np.ndarray:
+        """Elementwise shell membership of keys packed from rows within the bias."""
+        pos = np.searchsorted(self.keys, keys)
+        pos[pos == self.n] = 0
+        return self.keys[pos] == keys
 
 
 @lru_cache(maxsize=4)
-def _sweep_tables(dim: int, lam: int) -> _SweepTables:
-    return _SweepTables(enumerate_shell(dim, lam))
+def _tables(dim: int, lam: int) -> _Tables:
+    return _Tables(enumerate_shell(dim, lam))
+
+
+@lru_cache(maxsize=1)
+def _anchor_masks(dim: int, lam: int, anchor: int) -> dict[int, int]:
+    """{|chord key|: bitmask of the points p it moves onto the shell} for one anchor.
+
+    Two lookups p -+ (anchor - q) over all (q, p); the anchor's N - 1
+    chords are distinct classes, since q + q' = 2 anchor forces q = q' =
+    anchor on a sphere, so no deduplication is needed.
+    """
+    tb = _tables(dim, lam)
+    c = tb.chords(anchor)[:, None]
+    hit = tb.on_shell(tb.keys - c) | tb.on_shell(tb.keys + c)
+    rows = np.packbits(hit, axis=1, bitorder="little")
+    return {
+        t: int.from_bytes(row.tobytes(), "little") for t, row in zip(np.abs(c[:, 0]).tolist(), rows)
+    }
 
 
 def _reduce_row(row: list[int], rows: list[tuple[int, list[int]]]):
@@ -302,9 +328,9 @@ def _exhaustive_chunk(dim: int, lam: int, m: int, anchor: int, lo: int, hi: int)
     `others` is the canonical point order without the anchor. Tallies are
     unweighted; violations are sorted index tuples containing the anchor.
     """
-    tb = _sweep_tables(dim, lam)
-    pts, neg = tb.pts, tb.neg
-    cand, adm, pair = tb.cand, tb.adm, tb.pair
+    tb = _tables(dim, lam)
+    pts, neg, keys = tb.pts, tb.neg, tb.key_list
+    adm = _anchor_masks(dim, lam, anchor)
     others = [j for j in range(tb.n) if j != anchor]
     need_rank = dim - 1
     checked = 0
@@ -337,10 +363,10 @@ def _exhaustive_chunk(dim: int, lam: int, m: int, anchor: int, lo: int, hi: int)
                 continue
             nrows = rows if red is None else rows + [red]
             ncand = [t for t in candids if (adm[t] >> j) & 1]
-            pair_j = pair[j]
+            key_j = keys[j]
             added = []
             for c in chosen:
-                tid = pair_j[c]
+                tid = abs(key_j - keys[c])
                 edge_count[tid] = edge_count.get(tid, 0) + 1
                 added.append(tid)
             chosen.append(j)
@@ -361,7 +387,7 @@ def _exhaustive_chunk(dim: int, lam: int, m: int, anchor: int, lo: int, hi: int)
                 else:
                     edge_count[tid] -= 1
 
-    recurse(1, lo, hi, cand[anchor], [], 1 << neg[anchor])
+    recurse(1, lo, hi, list(adm), [], 1 << neg[anchor])
     return {
         "checked": checked,
         "antipodal": sk_anti,
@@ -398,96 +424,33 @@ def _coset_map(v: Point):
 
 
 # ---------------------------------------------------------------------------
-# Sampled sweeps. Membership tests run vectorized over the anchored
-# candidate array through packed int64 keys and binary search, shrinking
-# the surviving candidates vertex by vertex. Falls back to plain set
-# membership when coordinates are too large to pack.
+# Sampled sweeps. Each drawn subset is classified on its own: antipodal,
+# then degenerate, then its admissible classes are the anchor's N - 1
+# chord keys, one class each, filtered vertex by vertex through the same
+# packed-key lookups as the exhaustive masks. There is no slow fallback: a
+# shell whose keys do not fit in int64 is refused when its table is built.
 
 
-class _SampleTables:
-    def __init__(self, shell: SphereShell):
-        self.shell = shell
-        pts = shell.points
-        self.n = len(pts)
-        self.arr = np.array(pts, dtype=np.int64).reshape(self.n, shell.dim)
-        index = {p: i for i, p in enumerate(pts)}
-        self.neg = np.array([index[negate(p)] for p in pts], dtype=np.intp)
-        # query rows v +- tau stay within 3*isqrt(lam) componentwise
-        self.spec = pack_spec(shell.dim, 3 * isqrt(shell.lam) if shell.lam else 0)
-        if self.spec is not None:
-            bias, radix = self.spec
-            self.keys = pack_rows(self.arr, bias, radix)
-        self._cand: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def cand(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        hit = self._cand.get(i)
-        if hit is not None:
-            return hit
-        d = self.arr[i][None, :] - np.delete(self.arr, i, axis=0)
-        first = (d != 0).argmax(axis=1)
-        s = np.take_along_axis(d, first[:, None], axis=1)[:, 0]
-        d = d * np.where(s < 0, -1, 1)[:, None]
-        bias, radix = self.spec
-        keys = pack_rows(d, bias, radix)
-        uniq, uidx = np.unique(keys, return_index=True)
-        out = (np.ascontiguousarray(d[uidx]), uniq)
-        self._cand[i] = out
-        return out
-
-    def member_mask(self, rows: np.ndarray) -> np.ndarray:
-        bias, radix = self.spec
-        k = pack_rows(rows, bias, radix)
-        pos = np.searchsorted(self.keys, k)
-        pos[pos == self.n] = 0
-        return self.keys[pos] == k
-
-    def pack_point(self, p: Point) -> int:
-        bias, radix = self.spec
-        key = 0
-        for c in p:
-            key = key * radix + (c + bias)
-        return key
-
-
-@lru_cache(maxsize=4)
-def _sample_tables(dim: int, lam: int) -> _SampleTables:
-    return _SampleTables(enumerate_shell(dim, lam))
-
-
-def _evaluate_sample(tb: _SampleTables, idx: tuple[int, ...], m: int) -> tuple[str, int]:
+def _evaluate_sample(tb: _Tables, idx: tuple[int, ...]) -> tuple[str, int]:
     """Outcome of one sampled subset: ('a'|'d', 0) skip or ('ok', nonedge count)."""
-    if {int(tb.neg[i]) for i in idx} & set(idx):
+    if {tb.neg[i] for i in idx} & set(idx):
         return ("a", 0)
-    verts = [tb.shell.points[i] for i in idx]
-    if affine_rank(tuple(verts)) < tb.shell.dim - 1:
+    if affine_rank(tuple(tb.pts[i] for i in idx)) < tb.dim - 1:
         return ("d", 0)
-    if tb.spec is None:
-        return _evaluate_sample_slow(tb.shell, verts)
-    taus, tkeys = tb.cand(idx[0])
+    chords = tb.chords(idx[0])
     for i in idx[1:]:
-        v = tb.arr[i][None, :]
-        stacked = np.concatenate([v - taus, v + taus])
-        mem = tb.member_mask(stacked)
-        keep = mem[: len(taus)] | mem[len(taus):]
-        taus = taus[keep]
-        tkeys = tkeys[keep]
-        if len(taus) == 0:
+        k = tb.keys[i]
+        chords = chords[tb.on_shell(k - chords) | tb.on_shell(k + chords)]
+        if len(chords) == 0:
             return ("ok", 0)
-    edge_keys = {
-        tb.pack_point(sign_canonical(_diff(a, b))) for a, b in combinations(verts, 2)
-    }
-    ne = sum(1 for k in tkeys.tolist() if k not in edge_keys)
-    return ("ok", ne)
+    keys = tb.key_list
+    edges = {abs(keys[a] - keys[b]) for a, b in combinations(idx, 2)}
+    return ("ok", sum(1 for t in np.abs(chords).tolist() if t not in edges))
 
 
-def _evaluate_sample_slow(shell: SphereShell, verts: list[Point]) -> tuple[str, int]:
-    translates, edge_translates = _translate_sets(shell, tuple(verts))
-    return ("ok", len(translates) - len(edge_translates))
-
-
-def _sampled_chunk(dim: int, lam: int, m: int, subsets: list[tuple[int, ...]]) -> list[tuple[str, int]]:
-    tb = _sample_tables(dim, lam)
-    return [_evaluate_sample(tb, idx, m) for idx in subsets]
+def _sampled_chunk(dim: int, lam: int, subsets: list[tuple[int, ...]]) -> list[tuple[str, int]]:
+    tb = _tables(dim, lam)
+    return [_evaluate_sample(tb, idx) for idx in subsets]
 
 
 def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
@@ -543,7 +506,7 @@ def verify_lemma(
                 max_nonedge_count=0, histogram={}, violations=(),
             )
         orbits = _vertex_orbits(shell.points)
-        tables = _sweep_tables(shell.dim, shell.lam)
+        tables = _tables(shell.dim, shell.lam)
         ranges = _split_ranges(n - 1, max(1, threads * 4)) if threads > 1 else [(0, n - 1)]
         tasks = [(rep, members, lo, hi) for rep, members in orbits for lo, hi in ranges]
         argses = [(shell.dim, shell.lam, m, tables.index[rep], lo, hi) for rep, _, lo, hi in tasks]
@@ -564,7 +527,8 @@ def verify_lemma(
                 for idx in p["violations"]:
                     found.add(tuple(sorted(tables.index[g(tables.pts[i])] for i in idx)))
         violations = tuple(
-            _materialize(shell, tuple(tables.pts[i] for i in idx), budget) for idx in sorted(found)
+            find_translates(Simplex(shell, tuple(tables.pts[i] for i in idx)))
+            for idx in sorted(found)
         )
         return LemmaSweepReport(
             **base, simplices_checked=total(p["checked"] for p in parts),
@@ -598,12 +562,10 @@ def verify_lemma(
         ]
         if threads > 1:
             slices = np.array_split(np.arange(len(batch)), threads)
-            argses = [
-                (shell.dim, shell.lam, m, [batch[i] for i in sl]) for sl in slices if len(sl)
-            ]
+            argses = [(shell.dim, shell.lam, [batch[i] for i in sl]) for sl in slices if len(sl)]
             outcomes = [o for part in run_chunks(_sampled_chunk, argses, threads) for o in part]
         else:
-            outcomes = _sampled_chunk(shell.dim, shell.lam, m, batch)
+            outcomes = _sampled_chunk(shell.dim, shell.lam, batch)
         for idx, (status, ne) in zip(batch, outcomes):
             attempts += 1
             if status == "a":
@@ -620,22 +582,11 @@ def verify_lemma(
                 viol_subsets.append(tuple(shell.points[i] for i in idx))
             if checked >= count:
                 break
-    violations = tuple(_materialize(shell, verts, budget) for verts in viol_subsets)
+    violations = tuple(find_translates(Simplex(shell, verts)) for verts in viol_subsets)
     return LemmaSweepReport(
         **base, simplices_checked=checked, skipped_degenerate=sk_d, skipped_antipodal=sk_a,
         max_nonedge_count=max_ne, histogram=dict(sorted(hist.items())),
         violations=violations, sample_count=count, seed=seed, attempts=attempts,
-    )
-
-
-def _materialize(shell: SphereShell, verts: tuple[Point, ...], budget: int) -> TranslateReport:
-    translates, edge_translates = _translate_sets(shell, verts)
-    return TranslateReport(
-        simplex=Simplex(shell=shell, vertices=verts),
-        translates=translates,
-        edge_translates=edge_translates,
-        budget=budget,
-        violated=len(translates) - len(edge_translates) > budget,
     )
 
 

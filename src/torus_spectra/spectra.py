@@ -266,16 +266,25 @@ def applicable_bound(dim: int, p: float) -> float | None:
     return None
 
 
+def bound_verdict(dim: int, p: float, value: float) -> tuple[float | None, bool]:
+    """(applicable_bound(dim, p), whether value stays within it up to BOUND_SLACK).
+
+    With no applicable bound the verdict trivially passes.
+    """
+    bound = applicable_bound(dim, p)
+    return bound, bound is None or value <= bound + BOUND_SLACK
+
+
 def check_theorem(coeffs: EigenfunctionCoeffs) -> BoundReport:
     """l^n norm of the spectrum against the dimensional bound.
 
-    For dim in {2, 3, 4} the uniform bound has no explicit constant, so
+    Dimension 2 is checked against sqrt(5) and dimensions >= 5 against
+    C(n). For dim in {3, 4} the uniform bound has no explicit constant, so
     bound_value is absent and the report trivially passes.
     """
     dim = coeffs.shell.dim
     norm = lp_norm(autocorrelation(coeffs), dim)
-    bound = bound_constant(dim) if dim >= 5 else None
-    passed = bound is None or norm <= bound + BOUND_SLACK
+    bound, passed = bound_verdict(dim, dim, norm)
     return BoundReport(p=float(dim), norm_value=norm, bound_value=bound, passed=passed)
 
 

@@ -5,6 +5,8 @@ import os
 import pytest
 from conftest import run_cli
 
+from torus_spectra import check_theorem, enumerate_shell, random_coeffs
+
 
 def test_shell_count_only():
     code, out, _ = run_cli(["shell", "--dim", "2", "--lambda", "25", "--count-only"])
@@ -43,6 +45,20 @@ def test_spectrum_gaussian_dim5():
     assert obj["lp"]["value"] <= obj["bound"] + 1e-9
     zero = [e for e in obj["entries"] if e["tau"] == [0, 0, 0, 0, 0]]
     assert len(zero) == 1 and abs(zero[0]["re"] - 1.0) < 1e-12
+
+
+def test_spectrum_and_check_theorem_agree_on_dim2_bound():
+    """Library and CLI share one bound policy: sqrt(5) for the l^2 norm in dim 2."""
+    code, out, _ = run_cli(
+        ["spectrum", "--dim", "2", "--lambda", "25", "--random", "gaussian", "--seed", "0",
+         "--json"]
+    )
+    obj = json.loads(out)
+    report = check_theorem(random_coeffs(enumerate_shell(2, 25), seed=0, mode="gaussian"))
+    assert report.bound_value == obj["bound"] == pytest.approx(math.sqrt(5))
+    assert report.norm_value == obj["lp"]["value"]
+    assert report.passed is obj["passed"] is True
+    assert code == 0
 
 
 def test_spectrum_single_point_file(tmp_path):

@@ -1,0 +1,46 @@
+"""Every name a library module imports is used there.
+
+No linter ships with the project, so this stdlib `ast` check keeps helpers
+that are deleted from leaving stale imports behind. A name counts as used
+when it is loaded anywhere in the module (annotations included) or, in a
+package `__init__`, listed in `__all__`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "torus_spectra"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts)
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []
+
+
+def test_unused_import_is_reported(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from __future__ import annotations\nimport os\nfrom math import comb, isqrt\n\nisqrt(4)\n"
+    )
+    assert _unused_imports(module) == ["mod.py:2 os", "mod.py:3 comb"]

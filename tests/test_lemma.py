@@ -1,6 +1,7 @@
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 from conftest import admissible_subset_count, full_scan_translates, sign_flip_degenerate
 
@@ -16,8 +17,8 @@ from torus_spectra import (
     validate_simplex,
     verify_lemma,
 )
-from torus_spectra.lattice import negate
-from torus_spectra.lemma import _translate_sets, affine_rank
+from torus_spectra.lattice import SphereShell, negate
+from torus_spectra.lemma import _evaluate_sample, _tables, _Tables, _translate_sets, affine_rank
 
 
 # --------------------------------------------------------------------------
@@ -250,6 +251,47 @@ def test_sampled_requires_count():
         verify_lemma(enumerate_shell(5, 5), mode="sampled")
     with pytest.raises(ContractError):
         verify_lemma(enumerate_shell(5, 5), mode="bogus")
+
+
+@pytest.mark.parametrize(
+    "dim,lam,m",
+    [(5, 5, 5), (5, 5, 6), (4, 12, 4), (3, 41, 4)],
+    ids=["5-5", "5-5-m6", "4-12", "3-41-m4"],
+)
+def test_sampled_fast_path_agrees_with_reference(dim, lam, m):
+    """The packed-key outcome of each subset against the reference classification.
+
+    Antipodal first, then by affine rank, then the non-edge count from the
+    plain set-membership translate scan.
+    """
+    shell = enumerate_shell(dim, lam)
+    tb = _tables(dim, lam)
+    rng = np.random.default_rng(dim * 1000 + lam * 10 + m)
+    for _ in range(500):
+        idx = tuple(sorted(int(i) for i in rng.choice(len(shell), size=m, replace=False)))
+        verts = tuple(shell.points[i] for i in idx)
+        if any(negate(a) == b for a, b in combinations(verts, 2)):
+            expected = ("a", 0)
+        elif affine_rank(verts) < dim - 1:
+            expected = ("d", 0)
+        else:
+            translates, edges = _translate_sets(shell, verts)
+            expected = ("ok", len(translates) - len(edges))
+        assert _evaluate_sample(tb, idx) == expected, verts
+
+
+def test_unpackable_shell_is_refused():
+    # the 30 points +-3 e_i of shell(15, 9), without enumerating its 4,495,430 points:
+    # keys over |c| <= 3*isqrt(9) = 9 need 19^15 > 2^62
+    points = []
+    for i in range(15):
+        for s in (-3, 3):
+            p = [0] * 15
+            p[i] = s
+            points.append(tuple(p))
+    points.sort()
+    with pytest.raises(ResourceLimitError, match="int64"):
+        _Tables(SphereShell(dim=15, lam=9, points=tuple(points), index=frozenset(points)))
 
 
 def test_threads_do_not_change_results():
