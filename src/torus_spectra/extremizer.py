@@ -18,6 +18,11 @@ a Hermitian matrix-vector product over the precomputed pair structure.
 Ascent is projected gradient with renormalization to the sphere after
 every step and backtracking halving whenever the objective would
 decrease, so each run's objective sequence is non-decreasing.
+
+Each vector's spectrum b is accumulated once: a trial step's b gives its
+value, and when the trial is accepted the same b gives its gradient. Each
+restart reports why it stopped: `tol` (tangential gradient below the
+tolerance), `stalled` (no step above STEP_FLOOR ascends) or `max_iters`.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from ._parallel import run_chunks
 from .errors import ContractError
-from .lattice import Point, SphereShell
+from .lattice import Point, SphereShell, enumerate_shell
 from .spectra import (
     EigenfunctionCoeffs,
     applicable_bound,
@@ -70,17 +75,22 @@ class ExtremizerConfig:
 
 @dataclass(frozen=True)
 class AscentRun:
-    """One restart: final objective value, iteration count, convergence flag.
+    """One restart: final objective value, iteration count, stop reason.
 
-    `history` (objective value per accepted iterate, starting point
-    included) is kept only when requested.
+    `stop` is "tol", "stalled" or "max_iters"; the run converged when it
+    stopped on the tolerance. `history` (objective value per accepted
+    iterate, starting point included) is kept only when requested.
     """
 
     index: int
     value: float
     iterations: int
-    converged: bool
+    stop: str
     history: tuple[float, ...] | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "tol"
 
 
 @dataclass(frozen=True)
@@ -125,23 +135,31 @@ class SpectrumEngine:
             self.shell, {p: complex(x * scale) for p, x in zip(self.points, a)}
         )
 
-    def _weights(self, b: np.ndarray, p: float) -> np.ndarray:
+    def _weights(self, b: np.ndarray, mags: np.ndarray, p: float) -> np.ndarray:
         if p == 2:
             return p * b
-        mags = np.abs(b)
         scale = np.where(mags < GRAD_ZERO_TOL, 0.0, mags ** (p - 2))
         return p * scale * b
 
-    def power_value(self, a: np.ndarray, p: float) -> float:
-        b = self._pairs.accumulate(a)
+    def spectrum(self, a: np.ndarray) -> np.ndarray:
+        """b_tau over the support's difference vectors, for `b=` below."""
+        return self._pairs.accumulate(a)
+
+    def power_value(self, a: np.ndarray, p: float, b: np.ndarray | None = None) -> float:
+        """f = sum |b_tau|^p; `b` is a's spectrum if already computed."""
+        if b is None:
+            b = self.spectrum(a)
         return float((np.abs(b) ** p).sum())
 
-    def power_value_and_gradient(self, a: np.ndarray, p: float) -> tuple[float, np.ndarray]:
-        b = self._pairs.accumulate(a)
-        f = float((np.abs(b) ** p).sum())
-        w = self._weights(b, p)
+    def power_value_and_gradient(self, a: np.ndarray, p: float,
+                                 b: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """f and its gradient; `b` is a's spectrum if already computed."""
+        if b is None:
+            b = self.spectrum(a)
+        mags = np.abs(b)
+        f = float((mags**p).sum())
         s = self._pairs.size
-        matrix = w[self._pairs.inv].reshape(s, s)
+        matrix = self._pairs.gather(self._weights(b, mags, p)).reshape(s, s)
         return f, 2.0 * (matrix @ a)
 
 
@@ -182,54 +200,53 @@ def finite_difference_gradient(fn, a: np.ndarray, h: float = 1e-6) -> np.ndarray
 
 
 def _ascend(engine: SpectrumEngine, a0: np.ndarray, p: float, cfg: ExtremizerConfig,
-            keep_history: bool) -> tuple[np.ndarray, float, int, bool, list[float] | None]:
+            keep_history: bool) -> tuple[np.ndarray, float, int, str, list[float] | None]:
     a = a0 / np.linalg.norm(a0)
     f, g = engine.power_value_and_gradient(a, p)
     history = [f ** (1.0 / p)] if keep_history else None
     step = cfg.step_init
-    converged = False
+    stop = "max_iters"
     iterations = 0
     while iterations < cfg.max_iters:
         iterations += 1
         radial = (a.conj() @ g).real
         if np.linalg.norm(g - radial * a) < cfg.tol:
-            converged = True
+            stop = "tol"
             break
         moved = False
         while step > STEP_FLOOR:
             trial = a + step * g
             trial /= np.linalg.norm(trial)
-            f_trial = engine.power_value(trial, p)
+            b_trial = engine.spectrum(trial)
+            f_trial = engine.power_value(trial, p, b_trial)
             if f_trial >= f:
                 moved = True
                 break
             step *= 0.5
         if not moved:
-            break  # no ascent at any step size: numerically stationary
+            stop = "stalled"  # no ascent at any step size: numerically stationary
+            break
         a = trial
-        f, g = engine.power_value_and_gradient(a, p)
+        f, g = engine.power_value_and_gradient(a, p, b_trial)
         if keep_history:
             history.append(f ** (1.0 / p))
         step = min(step * STEP_GROW, STEP_CAP)
-    return a, f, iterations, converged, history
+    return a, f, iterations, stop, history
 
 
-def _restart_chunk(dim: int, lam: int, support, p: float, cfg_fields: tuple,
+def _restart_chunk(shell: SphereShell, support, p: float, cfg_fields: tuple,
                    indices: list[int], keep_history: bool) -> list[dict]:
-    from .lattice import enumerate_shell
-
     cfg = ExtremizerConfig(*cfg_fields)
-    shell = enumerate_shell(dim, lam)
     engine = SpectrumEngine(shell, support)
     out = []
     for r in indices:
         rng = np.random.default_rng(cfg.seed + r)
         n = len(engine.points)
         a0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        a, f, iterations, converged, history = _ascend(engine, a0, p, cfg, keep_history)
+        a, f, iterations, stop, history = _ascend(engine, a0, p, cfg, keep_history)
         out.append(
-            {"index": r, "a": a, "f": f, "iterations": iterations,
-             "converged": converged, "history": history}
+            {"index": r, "a": a, "f": f, "iterations": iterations, "stop": stop,
+             "history": history}
         )
     return out
 
@@ -248,12 +265,20 @@ def maximize(
     to `support` when given; off-support gradients vanish, so the support
     is invariant under the ascent). The winner is selected by (value,
     restart index), making the report deterministic for a fixed seed under
-    any execution order, including `threads` > 1.
+    any execution order, including `threads` > 1. `shell` must be the whole
+    enumerated shell; a hand-built subset is refused (restrict the ascent
+    with `support` instead).
     """
     if len(shell) == 0:
         raise ContractError(f"shell({shell.dim}, {shell.lam}) is empty")
     if p < 2:
         raise ContractError(f"maximize requires p >= 2, got {p}")
+    full = enumerate_shell(shell.dim, shell.lam)
+    if shell.points != full.points:
+        raise ContractError(
+            f"the {len(shell)} given points differ from the {len(full)} points of "
+            f"shell({shell.dim}, {shell.lam}); pass the enumerated shell and restrict with support="
+        )
     cfg = config or ExtremizerConfig()
     support_t = tuple(sorted(tuple(q) for q in support)) if support is not None else None
     cfg_fields = (cfg.restarts, cfg.max_iters, cfg.step_init, cfg.tol, cfg.seed)
@@ -261,15 +286,13 @@ def maximize(
     if threads > 1 and cfg.restarts > 1:
         slices = np.array_split(np.array(indices), min(threads, cfg.restarts))
         argses = [
-            (shell.dim, shell.lam, support_t, p, cfg_fields, [int(i) for i in sl], keep_history)
+            (shell, support_t, p, cfg_fields, [int(i) for i in sl], keep_history)
             for sl in slices
             if len(sl)
         ]
         results = [r for part in run_chunks(_restart_chunk, argses, threads) for r in part]
     else:
-        results = _restart_chunk(
-            shell.dim, shell.lam, support_t, p, cfg_fields, indices, keep_history
-        )
+        results = _restart_chunk(shell, support_t, p, cfg_fields, indices, keep_history)
 
     best = None
     for r in results:
@@ -283,7 +306,7 @@ def maximize(
         runs = tuple(
             AscentRun(
                 index=r["index"], value=r["f"] ** (1.0 / p), iterations=r["iterations"],
-                converged=r["converged"], history=tuple(r["history"]),
+                stop=r["stop"], history=tuple(r["history"]),
             )
             for r in results
         )
@@ -292,7 +315,7 @@ def maximize(
         best_value=best_value,
         bound_value=applicable_bound(shell.dim, p),
         iterations_used=best["iterations"],
-        converged=best["converged"],
+        converged=best["stop"] == "tol",
         p=p,
         restarts=cfg.restarts,
         runs=runs,

@@ -481,32 +481,43 @@ def verify_lemma(
     and listed in index order. The result is deterministic for a fixed seed
     and identical for any thread count; violations, if any exist, are
     re-derived through the reference membership path and preserved
-    verbatim.
+    verbatim. `shell` must be the whole enumerated shell: the sweep's
+    tables come from enumerating (dim, lam), so a hand-built subset is
+    refused.
     """
     if extra_points < 0:
         raise ContractError(f"extra_points must be >= 0, got {extra_points}")
+    if mode not in ("exhaustive", "sampled"):
+        raise ContractError(f"unknown mode {mode!r}; expected exhaustive or sampled")
+    if mode == "sampled" and (count is None or count < 1):
+        raise ContractError("sampled mode requires a positive count")
     m = shell.dim + extra_points
     budget = 2 ** (shell.dim - 1)
     base = dict(
         dim=shell.dim, lam=shell.lam, mode=mode, extra_points=extra_points, budget=budget
     )
+    if mode == "sampled":
+        base.update(sample_count=count, seed=seed)
     n = len(shell)
+    if mode == "exhaustive" and n >= m and comb(n, m) > EXHAUSTIVE_GUARD:
+        raise ResourceLimitError(
+            f"{comb(n, m)} subsets of size {m} exceed the exhaustive guard of "
+            f"{EXHAUSTIVE_GUARD}; use sampled mode"
+        )
+    tables = _tables(shell.dim, shell.lam)
+    if shell.points != tables.pts:
+        raise ContractError(
+            f"the {n} given points differ from the {tables.n} points of "
+            f"shell({shell.dim}, {shell.lam}); sweep the enumerated shell"
+        )
+    if n < m:
+        return LemmaSweepReport(
+            **base, simplices_checked=0, skipped_degenerate=0, skipped_antipodal=0,
+            max_nonedge_count=0, histogram={}, violations=(),
+        )
 
     if mode == "exhaustive":
-        if n >= m:
-            total = comb(n, m)
-            if total > EXHAUSTIVE_GUARD:
-                raise ResourceLimitError(
-                    f"{total} subsets of size {m} exceed the exhaustive guard of {EXHAUSTIVE_GUARD}; "
-                    "use sampled mode"
-                )
-        if n < m:
-            return LemmaSweepReport(
-                **base, simplices_checked=0, skipped_degenerate=0, skipped_antipodal=0,
-                max_nonedge_count=0, histogram={}, violations=(),
-            )
         orbits = _vertex_orbits(shell.points)
-        tables = _tables(shell.dim, shell.lam)
         ranges = _split_ranges(n - 1, max(1, threads * 4)) if threads > 1 else [(0, n - 1)]
         tasks = [(rep, members, lo, hi) for rep, members in orbits for lo, hi in ranges]
         argses = [(shell.dim, shell.lam, m, tables.index[rep], lo, hi) for rep, _, lo, hi in tasks]
@@ -536,16 +547,6 @@ def verify_lemma(
             skipped_antipodal=total(p["antipodal"] for p in parts),
             max_nonedge_count=max((p["max_ne"] for p in parts), default=0),
             histogram={k: v // m for k, v in sorted(hist.items())}, violations=violations,
-        )
-
-    if mode != "sampled":
-        raise ContractError(f"unknown mode {mode!r}; expected exhaustive or sampled")
-    if count is None or count < 1:
-        raise ContractError("sampled mode requires a positive count")
-    if n < m:
-        return LemmaSweepReport(
-            **base, simplices_checked=0, skipped_degenerate=0, skipped_antipodal=0,
-            max_nonedge_count=0, histogram={}, violations=(), sample_count=count, seed=seed,
         )
 
     rng = np.random.default_rng(seed)
@@ -586,7 +587,7 @@ def verify_lemma(
     return LemmaSweepReport(
         **base, simplices_checked=checked, skipped_degenerate=sk_d, skipped_antipodal=sk_a,
         max_nonedge_count=max_ne, histogram=dict(sorted(hist.items())),
-        violations=violations, sample_count=count, seed=seed, attempts=attempts,
+        violations=violations, attempts=attempts,
     )
 
 

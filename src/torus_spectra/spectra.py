@@ -95,7 +95,7 @@ class AutocorrelationSpectrum:
 
     @cached_property
     def entries(self) -> dict[Point, complex]:
-        return {tuple(int(c) for c in t): complex(v) for t, v in zip(self.taus, self.values)}
+        return dict(zip(map(tuple, self.taus.tolist()), self.values.tolist()))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -158,10 +158,13 @@ def random_coeffs(
 class PairStructure:
     """Difference-vector index for an ordered support of lattice points.
 
-    `inv[i*s + j]` is the position of xi_i - xi_j in `taus`, which is
-    sorted lexicographically. Accumulating outer products a_i conj(a_j)
-    with bincount over `inv` yields the exact pair sum for every b_tau in
-    a fixed deterministic order.
+    With k the position of xi_i - xi_j in `taus` (sorted lexicographically),
+    pair i*s + j owns the interleaved float bins `bins[2(i*s + j)] = 2k` and
+    `bins[2(i*s + j) + 1] = 2k + 1`: the real and imaginary parts of a
+    complex array over `taus`. One bincount of the outer products
+    a_i conj(a_j), read as floats, then sums both parts of every b_tau at
+    once, each bin in pair order, so the result is the exact pair sum in a
+    fixed deterministic order; `gather` reads the same bins back per pair.
     """
 
     def __init__(self, dim: int, lam: int, supp: np.ndarray):
@@ -176,12 +179,17 @@ class PairStructure:
         if spec is not None:
             bias, radix = spec
             keys = pack_rows(diffs, bias, radix)
+            del diffs
             uniq, inv = np.unique(keys, return_inverse=True)
+            del keys
             taus = unpack_keys(uniq, dim, bias, radix)
         else:
             taus, inv = np.unique(diffs, axis=0, return_inverse=True)
+            del diffs
         self.taus = taus
-        self.inv = np.ascontiguousarray(inv.reshape(-1), dtype=np.intp)
+        self.bins = np.empty(2 * s * s, dtype=np.intp)
+        np.multiply(inv.reshape(-1), 2, out=self.bins[0::2])
+        np.add(self.bins[0::2], 1, out=self.bins[1::2])
         self.size = s
         self.n_taus = len(taus)
         # position of tau = 0 (always present: diagonal pairs)
@@ -190,10 +198,14 @@ class PairStructure:
 
     def accumulate(self, a: np.ndarray) -> np.ndarray:
         """b_tau array for amplitude vector `a` aligned with the support."""
+        a = np.asarray(a, dtype=np.complex128)
         outer = (a[:, None] * a.conj()[None, :]).reshape(-1)
-        br = np.bincount(self.inv, weights=np.ascontiguousarray(outer.real), minlength=self.n_taus)
-        bi = np.bincount(self.inv, weights=np.ascontiguousarray(outer.imag), minlength=self.n_taus)
-        return br + 1j * bi
+        sums = np.bincount(self.bins, weights=outer.view(np.float64), minlength=2 * self.n_taus)
+        return sums.view(np.complex128)
+
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """values[k] for each pair i*s + j, k the position of xi_i - xi_j; complex128 in."""
+        return values.view(np.float64)[self.bins].view(np.complex128)
 
 
 _PAIR_CACHE: OrderedDict[tuple, PairStructure] = OrderedDict()
@@ -407,6 +419,6 @@ def coeffs_from_json(obj: dict, force_normalize: bool = False) -> EigenfunctionC
 def spectrum_entries_json(spectrum: AutocorrelationSpectrum) -> list[dict]:
     """Spectrum entries as a JSON-ready list, taus in canonical order."""
     return [
-        {"tau": [int(c) for c in t], "re": float(v.real), "im": float(v.imag)}
-        for t, v in zip(spectrum.taus, spectrum.values)
+        {"tau": t, "re": v.real, "im": v.imag}
+        for t, v in zip(spectrum.taus.tolist(), spectrum.values.tolist())
     ]

@@ -8,6 +8,7 @@ from torus_spectra import (
     ContractError,
     EigenfunctionCoeffs,
     ExtremizerConfig,
+    SphereShell,
     SpectrumEngine,
     bound_constant,
     enumerate_shell,
@@ -17,6 +18,8 @@ from torus_spectra import (
     objective,
     random_coeffs,
 )
+from torus_spectra.extremizer import STEP_CAP, STEP_FLOOR, STEP_GROW, _ascend
+from torus_spectra.spectra import PairStructure
 
 
 def brute_power(shell, points, p):
@@ -151,3 +154,105 @@ def test_config_validation():
         ExtremizerConfig(step_init=-1.0)
     with pytest.raises(ContractError):
         ExtremizerConfig(tol=0.0)
+
+
+def test_maximize_refuses_partial_shell():
+    points = ((3, 4), (4, 3))
+    partial = SphereShell(dim=2, lam=25, points=points, index=frozenset(points))
+    with pytest.raises(ContractError, match="differ from the 12 points of shell"):
+        maximize(partial, 4.0, ExtremizerConfig(restarts=1, max_iters=10))
+
+
+def test_stop_reasons():
+    shell = enumerate_shell(5, 5)
+    one = maximize(shell, 5.0, ExtremizerConfig(restarts=1), support=(shell.points[0],),
+                   keep_history=True).runs[0]
+    assert (one.stop, one.iterations, one.converged) == ("tol", 1, True)
+    capped = maximize(shell, 5.0, ExtremizerConfig(restarts=1, max_iters=30),
+                      keep_history=True).runs[0]
+    assert (capped.stop, capped.iterations, capped.converged) == ("max_iters", 30, False)
+    # restart 1 of seed 0 draws its start with seed 1
+    stalled = maximize(enumerate_shell(2, 65), 4.0, ExtremizerConfig(restarts=1, seed=1),
+                       keep_history=True)
+    assert (stalled.runs[0].stop, stalled.runs[0].iterations) == ("stalled", 95)
+    assert stalled.converged is False
+
+
+def reference_ascend(engine, a0, p, cfg):
+    """The projected ascent evaluating every vector from scratch; counts its trials."""
+    a = a0 / np.linalg.norm(a0)
+    f, g = engine.power_value_and_gradient(a, p)
+    history = [f ** (1.0 / p)]
+    step = cfg.step_init
+    converged = False
+    iterations = trials = 0
+    while iterations < cfg.max_iters:
+        iterations += 1
+        radial = (a.conj() @ g).real
+        if np.linalg.norm(g - radial * a) < cfg.tol:
+            converged = True
+            break
+        moved = False
+        while step > STEP_FLOOR:
+            trial = a + step * g
+            trial /= np.linalg.norm(trial)
+            trials += 1
+            if engine.power_value(trial, p) >= f:
+                moved = True
+                break
+            step *= 0.5
+        if not moved:
+            break
+        a = trial
+        f, g = engine.power_value_and_gradient(a, p)
+        history.append(f ** (1.0 / p))
+        step = min(step * STEP_GROW, STEP_CAP)
+    return a, f, iterations, converged, history, trials
+
+
+def starts(engine, cfg):
+    n = len(engine.points)
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed + r)
+        yield rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("dim,lam,p,restarts,max_iters", [(5, 5, 5.0, 3, 300), (2, 65, 4.0, 4, 5000)])
+def test_ascent_matches_from_scratch_reference(dim, lam, p, restarts, max_iters):
+    cfg = ExtremizerConfig(restarts=restarts, max_iters=max_iters, seed=0)
+    engine = SpectrumEngine(enumerate_shell(dim, lam))
+    for a0 in starts(engine, cfg):
+        a, f, iterations, stop, history = _ascend(engine, a0, p, cfg, True)
+        ref_a, ref_f, ref_iterations, ref_converged, ref_history, _ = reference_ascend(
+            engine, a0, p, cfg
+        )
+        assert np.array_equal(a, ref_a)
+        assert (f, iterations, stop == "tol", history) == (
+            ref_f, ref_iterations, ref_converged, ref_history
+        )
+
+
+def test_ascent_evaluation_counts(monkeypatch):
+    # what a run trace counts as value and gradient evaluations keeps its meaning:
+    # one value per trial step, one gradient per accepted iterate and per start,
+    # and one spectrum per trial and per start, plus the winner's objective
+    shell = enumerate_shell(2, 65)
+    cfg = ExtremizerConfig(restarts=4, seed=0)
+    engine = SpectrumEngine(shell)
+    trials = sum(reference_ascend(engine, a0, 4.0, cfg)[5] for a0 in starts(engine, cfg))
+    calls = dict.fromkeys(("power_value", "power_value_and_gradient", "accumulate"), 0)
+    for cls, name in ((SpectrumEngine, "power_value"),
+                      (SpectrumEngine, "power_value_and_gradient"),
+                      (PairStructure, "accumulate")):
+        def counted(*args, _fn=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    report = maximize(shell, 4.0, cfg, keep_history=True)
+    accepted = sum(len(run.history) - 1 for run in report.runs)
+    assert calls == {
+        "power_value": trials,
+        "power_value_and_gradient": accepted + cfg.restarts,
+        "accumulate": trials + cfg.restarts + 1,
+    }

@@ -294,6 +294,15 @@ def test_unpackable_shell_is_refused():
         _Tables(SphereShell(dim=15, lam=9, points=tuple(points), index=frozenset(points)))
 
 
+def test_partial_shell_is_refused():
+    # 6 pairs and none antipodal: swept as given they would not report 2 antipodal
+    points = ((0, 5), (3, 4), (4, 3), (5, 0))
+    partial = SphereShell(dim=2, lam=25, points=points, index=frozenset(points))
+    for kwargs in (dict(mode="exhaustive"), dict(mode="sampled", count=10)):
+        with pytest.raises(ContractError, match="differ from the 12 points of shell"):
+            verify_lemma(partial, **kwargs)
+
+
 def test_threads_do_not_change_results():
     # several vertex orbits, an extra point, and rank pruning on shell(5,2)
     for dim, lam, extra in [(3, 41, 0), (4, 4, 0), (3, 9, 1), (5, 2, 0)]:

@@ -27,6 +27,7 @@ from torus_spectra import (
     random_coeffs,
 )
 from torus_spectra.errors import ResourceLimitError
+from torus_spectra.spectra import pair_structure, spectrum_entries_json
 
 RT2 = math.sqrt(0.5)
 
@@ -143,6 +144,43 @@ def test_entries_cover_exactly_the_support_difference_set():
     supp = coeffs.support
     expected = {tuple(x - y for x, y in zip(a, b)) for a in supp for b in supp}
     assert set(autocorrelation(coeffs).entries) == expected
+
+
+def test_entries_and_json_match_per_element_construction():
+    spectrum = autocorrelation(random_coeffs(enumerate_shell(6, 6), 4, "gaussian"))
+    entries = spectrum.entries
+    assert all(type(c) is int for t in entries for c in t)
+    assert all(type(v) is complex for v in entries.values())
+    pairs = list(zip(spectrum.taus, spectrum.values))
+    assert list(entries.items()) == [(tuple(int(c) for c in t), complex(v)) for t, v in pairs]
+    rows = spectrum_entries_json(spectrum)
+    assert all(type(c) is int for row in rows for c in row["tau"])
+    assert all(type(row["re"]) is float and type(row["im"]) is float for row in rows)
+    assert rows == [
+        {"tau": [int(c) for c in t], "re": float(v.real), "im": float(v.imag)} for t, v in pairs
+    ]
+
+
+@pytest.mark.parametrize("dim,lam", [(2, 65), (5, 5), (6, 6)])
+def test_accumulate_and_gather_match_two_bincount_formula(dim, lam):
+    # independent pair index: np.unique over the difference rows themselves
+    supp = np.array(enumerate_shell(dim, lam).points, dtype=np.int64)
+    s = len(supp)
+    taus, inv = np.unique((supp[:, None, :] - supp[None, :, :]).reshape(s * s, dim), axis=0,
+                          return_inverse=True)
+    inv = inv.reshape(-1)
+    ps = pair_structure(dim, lam, supp)
+    assert np.array_equal(ps.taus, taus)
+    rng = np.random.default_rng(dim * 1000 + lam)
+    for _ in range(3):
+        a = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        outer = (a[:, None] * a.conj()[None, :]).reshape(-1)
+        br = np.bincount(inv, weights=np.ascontiguousarray(outer.real), minlength=len(taus))
+        bi = np.bincount(inv, weights=np.ascontiguousarray(outer.imag), minlength=len(taus))
+        b = ps.accumulate(a)
+        assert np.array_equal(b, br + 1j * bi)
+        w = rng.standard_normal(len(taus)) + 1j * rng.standard_normal(len(taus))
+        assert np.array_equal(ps.gather(w), w[inv])
 
 
 def test_b0_and_hermitian_symmetry():
