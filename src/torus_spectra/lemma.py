@@ -17,8 +17,7 @@ counterexample verbatim.
 Candidate generation is anchored at one vertex: an admissible tau must
 move the anchor onto the shell, so {+-(v_1 - eta) : eta in shell} already
 contains every admissible class. All arithmetic is exact; affine rank is
-decided by fraction-free integer elimination, never by a floating-point
-tolerance.
+decided by integer elimination, never by a floating-point tolerance.
 
 Both sweeps share one table per shell: the points packed into sorted int64
 keys, whose only use is a binary-search membership test. The anchor's
@@ -32,24 +31,22 @@ set membership, independent of the keys.
 Every subset is classified antipodal first, then degenerate (affine rank
 below n - 1), then checked, so each tally depends on the subset alone.
 The signed permutations B_n map the shell onto itself and preserve all of
-these, so the exhaustive sweep is anchored at one representative r per
-vertex orbit (the points sharing a multiset of |coordinates|): over the
-m-subsets S of the shell,
-
-    sum_S f(S) = (1/m) sum_r |orbit(r)| sum_{S containing r} f(S).
-
-Violations found at r are mapped back to the whole orbit by one signed
-permutation per orbit point (a coset representative of r's stabilizer)
-and re-derived through the reference membership path.
+these, so the exhaustive sweep visits one subset per B_n-orbit (orderly
+generation: the lexicographically smallest sorted index tuple of each
+orbit) and weights it by the orbit's size. Above a byte budget for B_n's
+index table it uses the 2^n sign changes instead, with the same tallies.
+Each violation found stands for its whole orbit, and every member is
+re-derived through the reference membership path.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import comb, isqrt
+from itertools import combinations, permutations, product
+from math import comb, factorial, gcd, isqrt
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -66,6 +63,10 @@ from .lattice import Point, SphereShell, enumerate_shell, negate, sign_canonical
 
 EXHAUSTIVE_GUARD = 10**7
 SAMPLE_ATTEMPT_FACTOR = 50
+# Byte budget of the exhaustive sweep's group table, checked before it is built.
+# B_6 on shell(6,1) (2.2 MB, 46,080 rows for 924 subsets) costs more to scan at
+# every prefix than its orbits save; B_5 on shell(5,2) takes 0.6 MB.
+GROUP_TABLE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,11 @@ class LemmaSweepReport:
 
 
 def _diff(a: Point, b: Point) -> Point:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _add(a: Point, b: Point) -> Point:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def affine_rank(vertices: tuple[Point, ...]) -> int:
@@ -171,20 +172,27 @@ def validate_simplex(shell: SphereShell, vertices: list[Point] | tuple[Point, ..
 
 
 def _translate_sets(
-    shell: SphereShell, verts: tuple[Point, ...]
+    shell: SphereShell, verts: tuple[Point, ...], anchored: dict | None = None
 ) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
     """Reference path: admissible translate classes of a vertex tuple.
 
-    Scans the anchored candidate set with plain membership queries; used
+    Filters the sorted anchored candidate set vertex by vertex with plain
+    membership queries (the anchor admits every candidate by construction);
+    `anchored` keeps each first vertex's candidate list across calls. Used
     for single simplices and to re-derive sweep findings independently of
     the packed-key fast path.
     """
+    anchored = {} if anchored is None else anchored
     anchor = verts[0]
-    candidates = sorted({sign_canonical(_diff(anchor, q)) for q in shell.points if q != anchor})
-    translates = []
-    for t in candidates:
-        if all(_diff(v, t) in shell.index or _add(v, t) in shell.index for v in verts):
-            translates.append(t)
+    if anchor not in anchored:
+        anchored[anchor] = sorted(
+            {sign_canonical(_diff(anchor, q)) for q in shell.points if q != anchor}
+        )
+    translates = anchored[anchor]
+    for v in verts[1:]:
+        translates = [
+            t for t in translates if _diff(v, t) in shell.index or _add(v, t) in shell.index
+        ]
     edges = {sign_canonical(_diff(a, b)) for a, b in combinations(verts, 2)}
     edge_translates = tuple(t for t in translates if t in edges)
     return tuple(translates), edge_translates
@@ -196,45 +204,25 @@ def find_translates(simplex: Simplex) -> TranslateReport:
     Deterministic: output is sorted lexicographically on the canonical
     representatives.
     """
-    translates, edge_translates = _translate_sets(simplex.shell, simplex.vertices)
-    budget = 2 ** (simplex.shell.dim - 1)
-    return TranslateReport(
-        simplex=simplex,
-        translates=translates,
-        edge_translates=edge_translates,
-        budget=budget,
-        violated=len(translates) - len(edge_translates) > budget,
-    )
+    return _reference_reports(simplex.shell, [simplex.vertices])[0]
+
+
+def _reference_reports(shell: SphereShell, subsets) -> tuple[TranslateReport, ...]:
+    """Reference-path reports of vertex tuples, one candidate list per first vertex."""
+    anchored: dict[Point, list[Point]] = {}
+    budget = 2 ** (shell.dim - 1)
+    reports = []
+    for verts in subsets:
+        translates, edges = _translate_sets(shell, verts, anchored)
+        reports.append(TranslateReport(
+            simplex=Simplex(shell, verts), translates=translates, edge_translates=edges,
+            budget=budget, violated=len(translates) - len(edges) > budget,
+        ))
+    return tuple(reports)
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive sweeps, anchored at vertex-orbit representatives. A signed
-# permutation g (a permutation of the coordinates with a sign on each)
-# maps the shell onto itself and preserves antipodal pairs, affine rank,
-# admissible translate classes and edge classes, so every tally f
-# (checked, either skip, each histogram bin) satisfies f(gS) = f(S) and
-#
-#     sum_S f(S) = (1/m) sum_r |orbit(r)| sum_{S containing r} f(S),
-#
-# since each m-subset is counted once per vertex and every vertex of an
-# orbit sees the same subsets up to g. Shell(4,12) has two vertex orbits,
-# (3,1,1,1) with 64 points and (2,2,2,0) with 32, so 276,830 anchored
-# subsets stand for C(96,4) = 3,321,960. For each representative r, the
-# other points are enumerated as index chains in canonical order. Its N - 1
-# candidate classes, one per other point q, each get a bitmask of the
-# points they move onto the shell, from two packed-key lookups over all
-# (q, p). The recursion carries the surviving candidate classes of the
-# prefix (a tau admissible for the subset must be admissible for every
-# prefix), the echelon basis of difference rows to r for exact rank
-# pruning, and a bitmask of forbidden (antipodal) partners. A cut branch
-# is tallied in closed form, antipodal first: a rank-deficient prefix
-# splits its completions into those holding an antipodal pair and the
-# degenerate rest.
-#
-# A violation is any subset gS with S a violation at r, and violations at
-# r are closed under the stabilizer of r; so one g_v per orbit point v,
-# with g_v(r) = v, maps the violations at r onto all violations touching
-# the orbit. B_n itself (2^n n! elements) is never built.
+# Packed keys, shared by both sweeps.
 
 
 class _Tables:
@@ -259,14 +247,11 @@ class _Tables:
         self.pts = shell.points
         self.n = len(self.pts)
         self.index = {p: i for i, p in enumerate(self.pts)}
-        self.neg = [self.index[negate(p)] for p in self.pts]
-        arr = np.array(self.pts, dtype=np.int64).reshape(self.n, shell.dim)
-        self.keys = pack_rows(arr, *spec)  # ascending: points are in lexicographic order
+        self.neg = np.array([self.index[negate(p)] for p in self.pts])
+        self.spec = spec
+        self.arr = np.array(self.pts, dtype=np.int64).reshape(self.n, shell.dim)
+        self.keys = pack_rows(self.arr, *spec)  # ascending: points are in lexicographic order
         self.key_list = self.keys.tolist()
-
-    def chords(self, r: int) -> np.ndarray:
-        """Chord keys key(r) - key(q) over the other points q, in point order."""
-        return np.delete(self.keys[r] - self.keys, r)
 
     def on_shell(self, keys: np.ndarray) -> np.ndarray:
         """Elementwise shell membership of keys packed from rows within the bias."""
@@ -274,160 +259,204 @@ class _Tables:
         pos[pos == self.n] = 0
         return self.keys[pos] == keys
 
+    def admissible(self, idx) -> np.ndarray:
+        """Chord keys key(r) - key(q), r = idx[0], q != r, admissible for every point of idx."""
+        chords = np.delete(self.keys[idx[0]] - self.keys, idx[0])
+        for i in idx[1:]:
+            if len(chords) == 0:
+                break
+            k = self.keys[i]
+            chords = chords[self.on_shell(k - chords) | self.on_shell(k + chords)]
+        return chords
+
 
 @lru_cache(maxsize=4)
 def _tables(dim: int, lam: int) -> _Tables:
     return _Tables(enumerate_shell(dim, lam))
 
 
-@lru_cache(maxsize=1)
-def _anchor_masks(dim: int, lam: int, anchor: int) -> dict[int, int]:
-    """{|chord key|: bitmask of the points p it moves onto the shell} for one anchor.
+# ---------------------------------------------------------------------------
+# Exhaustive sweeps: one m-subset per orbit of a group H of signed
+# permutations (a permutation of the coordinates with a sign on each). Every
+# such h maps the shell onto itself and preserves antipodal pairs, affine
+# rank, admissible translate classes and edge classes, so every tally f
+# (checked, either skip, each histogram bin) is constant on H-orbits and
+#
+#     sum_S f(S) = sum over canonical S of |H| / |Stab_H(S)| * f(S),
+#
+# S canonical when its sorted index tuple is the lexicographically smallest
+# of its H-images (Read-Faradzev orderly generation). Dropping the largest
+# index of a canonical set leaves a canonical set, since an image below the
+# rest stays below once any one index is added to both; so extending
+# canonical prefixes by larger indices reaches every orbit exactly once.
+# Shell(4,12) under B_4 has 9,547 canonical 4-subsets for C(96,4) =
+# 3,321,960. The leaves of one prefix are classified together: antipodal,
+# then degenerate (exact rank against an integer basis of the prefix's
+# orthogonal complement), then by their non-edge classes, the first
+# vertex's chord keys filtered vertex by vertex as in sampled mode. A
+# violating canonical set stands for its orbit {sorted(h(S)) : h in H}.
 
-    Two lookups p -+ (anchor - q) over all (q, p); the anchor's N - 1
-    chords are distinct classes, since q + q' = 2 anchor forces q = q' =
-    anchor on a sphere, so no deduplication is needed.
+
+@lru_cache(maxsize=4)
+def _group(dim: int, lam: int, kind: str) -> np.ndarray:
+    """(|H|, N) int32 table of a group H on shell(dim, lam): row h holds h(p)'s index for each p.
+
+    kind is "signed-permutations" (B_n, 2^n n! elements), "sign-changes"
+    (its 2^n diagonal elements) or "trivial".
     """
     tb = _tables(dim, lam)
-    c = tb.chords(anchor)[:, None]
-    hit = tb.on_shell(tb.keys - c) | tb.on_shell(tb.keys + c)
-    rows = np.packbits(hit, axis=1, bitorder="little")
-    return {
-        t: int.from_bytes(row.tobytes(), "little") for t, row in zip(np.abs(c[:, 0]).tolist(), rows)
-    }
+    perms = list(permutations(range(dim))) if kind == "signed-permutations" else [range(dim)]
+    signs = np.array([(1,) * dim] if kind == "trivial" else list(product((1, -1), repeat=dim)))
+    blocks = []
+    for perm in perms:  # one block of 2^n images at a time
+        keys = pack_rows((tb.arr[:, list(perm)] * signs[:, None, :]).reshape(-1, dim), *tb.spec)
+        blocks.append(np.searchsorted(tb.keys, keys).reshape(len(signs), tb.n).astype(np.int32))
+    return np.concatenate(blocks)
 
 
-def _reduce_row(row: list[int], rows: list[tuple[int, list[int]]]):
-    """Reduce against echelon rows; returns (pivot_col, row) or None if dependent."""
-    for pivcol, prow in rows:
-        if row[pivcol]:
-            a, b = prow[pivcol], row[pivcol]
-            row = [a * x - b * y for x, y in zip(row, prow)]
-    for c, v in enumerate(row):
-        if v:
-            g = 0
-            for x in row:
-                g = math.gcd(g, x)
-            if g > 1:
-                row = [x // g for x in row]
-            return (c, row)
-    return None
+def _canonical_sets(H: np.ndarray, m: int, prefixes=((),)):
+    """Orderly generation below the canonical `prefixes`, depth first in index order.
+
+    Yields (P, J, stab) for each canonical (m-1)-subset P reached: P + (j,)
+    for j in J are its canonical children, with stabilizer sizes stab. For
+    h fixing P, h(S) < S iff h(j) < j. Otherwise u = sorted(h(P)) first
+    exceeds P at some i, and h(S) < S iff h(j) < P[i], or h(j) = P[i] (one
+    j per h) and (u_i, ..., u_{k-1}) is below (P[i+1], ..., P[k-1], j);
+    equality there puts h in the stabilizer of S.
+    """
+    stack = list(reversed(prefixes))
+    while stack:
+        P = stack.pop()
+        lo, k = (P[-1] + 1 if P else 0), len(P)
+        J = np.arange(lo, H.shape[1], dtype=H.dtype)
+        X = H[:, lo:]
+        bad = np.zeros(len(J), dtype=bool)
+        stab = np.zeros(len(J), dtype=np.int64)
+        if k and len(J):
+            U = np.sort(H[:, P], axis=1)
+            p = np.array(P, dtype=H.dtype)
+            fix = (U == p).all(1)
+            i = (U != p).argmax(1)
+            # first f >= i with u_f != P[f + 1], else k - 1: the tail then rests on u_{k-1} vs j
+            nxt = np.append(p[1:], 0)
+            dif = (U != nxt) & (np.arange(k) >= i[:, None])
+            dif[:, -1] = True
+            f = dif.argmax(1)
+            uf = U[np.arange(len(H)), f]
+            tie = np.where(f == k - 1, uf, np.where(uf < nxt[f], -1, H.shape[1]))
+            thr = np.where(fix, -1, p[i]).astype(H.dtype)[:, None]  # rows fixing P come below
+            bad |= (X < thr).any(0)
+            eq = X == thr
+            at = eq.argmax(1)
+            tied = eq[np.arange(len(H)), at]
+            bad[at[tied & (tie < at + lo)]] = True
+            stab += np.bincount(at[tied & (tie == at + lo)], minlength=len(J))
+            X = X[fix]
+        bad |= (X < J).any(0)
+        stab += (X == J).sum(0)
+        if k + 1 == m:
+            yield P, J[~bad], stab[~bad]
+        else:
+            stack.extend(P + (j,) for j in reversed(J[~bad].tolist()))
 
 
-def _antipodal_free(pool: list[int], neg: list[int], k: int) -> int:
-    """Number of k-subsets of the point indices `pool` holding no antipodal pair."""
-    members = set(pool)
-    pairs = sum(1 for i in pool if neg[i] in members) // 2
-    single = len(pool) - 2 * pairs
-    return sum(comb(pairs, i) * 2**i * comb(single, k - i) for i in range(min(pairs, k) + 1))
+def _complement(rows: list[list[int]], dim: int) -> list[list[int]]:
+    """Primitive integer basis of the rational space orthogonal to `rows`."""
+    basis = [[int(a == b) for b in range(dim)] for a in range(dim)]
+    for d in rows:
+        dots = [sum(map(mul, w, d)) for w in basis]
+        piv = next((i for i, x in enumerate(dots) if x), None)
+        if piv is not None:
+            w0 = basis[piv]
+            basis = [
+                [dots[piv] * x - dots[i] * y for x, y in zip(w, w0)]
+                for i, w in enumerate(basis) if i != piv
+            ]
+            basis = [[x // g for x in w] for w in basis for g in (gcd(*w),)]
+    return basis
 
 
-def _exhaustive_chunk(dim: int, lam: int, m: int, anchor: int, lo: int, hi: int) -> dict:
-    """Sweep the m-subsets holding `anchor` whose next vertex is others[lo:hi].
+def _nonedge_counts(tb: _Tables, P: tuple[int, ...], J: np.ndarray) -> np.ndarray:
+    """Non-edge admissible classes of each subset P + (j,), j in J."""
+    chords = tb.admissible(P)
+    keys = np.c_[np.broadcast_to(tb.keys[list(P)], (len(J), len(P))), tb.keys[J]]
+    hit = tb.on_shell(keys[:, -1:] - chords) | tb.on_shell(keys[:, -1:] + chords)
+    edges = np.abs(keys[:, :, None] - keys[:, None, :]).reshape(len(J), 1, -1)
+    return (hit & ~(np.abs(chords)[:, None] == edges).any(2)).sum(1)
 
-    `others` is the canonical point order without the anchor. Tallies are
-    unweighted; violations are sorted index tuples containing the anchor.
+
+def _orderly_chunk(dim: int, lam: int, m: int, group: str, prefixes) -> dict:
+    """Tallies over the canonical m-subsets below `prefixes`, weighted by orbit size.
+
+    Violations are the canonical sets themselves, as sorted index tuples.
     """
     tb = _tables(dim, lam)
-    pts, neg, keys = tb.pts, tb.neg, tb.key_list
-    adm = _anchor_masks(dim, lam, anchor)
-    others = [j for j in range(tb.n) if j != anchor]
-    need_rank = dim - 1
-    checked = 0
-    sk_anti = 0
-    sk_degen = 0
-    max_ne = 0
-    hist: dict[int, int] = {}
-    violations: list[tuple[int, ...]] = []
-    edge_count: dict[int, int] = {}
-    chosen: list[int] = [anchor]
-    origin = pts[anchor]
-
-    def recurse(k: int, start: int, stop: int, candids, rows, forb: int) -> None:
-        nonlocal checked, sk_anti, sk_degen, max_ne
-        remaining = m - k - 1
-        for pos in range(start, stop):
-            j = others[pos]
-            later = len(others) - 1 - pos
-            if (forb >> j) & 1:
-                sk_anti += comb(later, remaining)
-                continue
-            red = _reduce_row([a - b for a, b in zip(pts[j], origin)], rows)
-            nrank = len(rows) + (0 if red is None else 1)
-            nforb = forb | (1 << neg[j])
-            if nrank + remaining < need_rank:
-                pool = [i for i in others[pos + 1:] if not (nforb >> i) & 1]
-                free = _antipodal_free(pool, neg, remaining)
-                sk_degen += free
-                sk_anti += comb(later, remaining) - free
-                continue
-            nrows = rows if red is None else rows + [red]
-            ncand = [t for t in candids if (adm[t] >> j) & 1]
-            key_j = keys[j]
-            added = []
-            for c in chosen:
-                tid = abs(key_j - keys[c])
-                edge_count[tid] = edge_count.get(tid, 0) + 1
-                added.append(tid)
-            chosen.append(j)
-            if k + 1 == m:
-                checked += 1
-                ne = sum(1 for t in ncand if t not in edge_count)
-                hist[ne] = hist.get(ne, 0) + 1
-                if ne > max_ne:
-                    max_ne = ne
-                if ne > 2 ** (dim - 1):
-                    violations.append(tuple(sorted(chosen)))
-            else:
-                recurse(k + 1, pos + 1, len(others), ncand, nrows, nforb)
-            chosen.pop()
-            for tid in added:
-                if edge_count[tid] == 1:
-                    del edge_count[tid]
-                else:
-                    edge_count[tid] -= 1
-
-    recurse(1, lo, hi, list(adm), [], 1 << neg[anchor])
-    return {
-        "checked": checked,
-        "antipodal": sk_anti,
-        "degenerate": sk_degen,
-        "max_ne": max_ne,
-        "hist": hist,
-        "violations": violations,
-    }
+    H = _group(dim, lam, group)
+    out = dict(checked=0, antipodal=0, degenerate=0, max_ne=0, hist=Counter(), violations=[])
+    for P, J, stab in _canonical_sets(H, m, prefixes):
+        weight = len(H) // stab
+        in_p = np.zeros(tb.n, dtype=bool)
+        in_p[list(P)] = True
+        if in_p[tb.neg[list(P)]].any():
+            out["antipodal"] += int(weight.sum())
+            continue
+        anti = in_p[tb.neg[J]]
+        basis = _complement((tb.arr[list(P[1:])] - tb.arr[P[0]]).tolist(), dim)
+        raises = np.array([
+            any(sum(map(mul, w, d)) for w in basis) for d in (tb.arr[J] - tb.arr[P[0]]).tolist()
+        ], dtype=bool)
+        # P + (j,) has affine rank dim - len(basis) + raises[j], which must reach dim - 1
+        full = ~anti & (raises >= len(basis) - 1)
+        out["antipodal"] += int(weight[anti].sum())
+        out["degenerate"] += int(weight[~anti & ~full].sum())
+        if not full.any():
+            continue
+        J, weight = J[full], weight[full]
+        ne = _nonedge_counts(tb, P, J)
+        out["checked"] += int(weight.sum())
+        for c, w in zip(ne.tolist(), weight.tolist()):
+            out["hist"][c] += w
+        out["max_ne"] = max(out["max_ne"], int(ne.max()))
+        out["violations"] += [P + (j,) for j in J[ne > 2 ** (dim - 1)].tolist()]
+    return out
 
 
-def _vertex_orbits(points: tuple[Point, ...]) -> list[tuple[Point, list[Point]]]:
-    """Vertex orbits of B_n as (representative, members), by representative.
+def _exhaustive(shell: SphereShell, m: int, group: str, threads: int) -> dict:
+    """Report fields of the exhaustive sweep of m-subsets, generated under `group`.
 
-    The representative lists the shared |coordinates| in descending order.
+    Workers take the canonical 2-subsets round robin; the merge is a sum.
     """
-    orbits: dict[Point, list[Point]] = {}
-    for p in points:
-        orbits.setdefault(tuple(sorted(map(abs, p), reverse=True)), []).append(p)
-    return sorted(orbits.items())
-
-
-def _coset_map(v: Point):
-    """A signed permutation g with g(r) = v, r the orbit representative of v."""
-    order = sorted(range(len(v)), key=lambda i: -abs(v[i]))
-    signs = [-1 if v[i] < 0 else 1 for i in order]
-
-    def g(x: Point) -> Point:
-        out = [0] * len(x)
-        for k, (i, s) in enumerate(zip(order, signs)):
-            out[i] = s * x[k]
-        return tuple(out)
-
-    return g
+    dim, lam = shell.dim, shell.lam
+    H = _group(dim, lam, group)
+    if threads > 1 and m > 2:
+        heads = [P for P, _, _ in _canonical_sets(H, 3)]
+        argses = [(dim, lam, m, group, heads[i::threads]) for i in range(min(threads, len(heads)))]
+    else:
+        argses = [(dim, lam, m, group, ((),))]
+    parts = run_chunks(_orderly_chunk, argses, threads)
+    hist = sum((p["hist"] for p in parts), Counter())
+    found = {
+        tuple(row)
+        for part in parts for S in part["violations"]
+        for row in np.sort(H[:, S], axis=1).tolist()
+    }
+    return dict(
+        simplices_checked=sum(p["checked"] for p in parts),
+        skipped_degenerate=sum(p["degenerate"] for p in parts),
+        skipped_antipodal=sum(p["antipodal"] for p in parts),
+        max_nonedge_count=max((p["max_ne"] for p in parts), default=0),
+        histogram=dict(sorted(hist.items())),
+        violations=_reference_reports(
+            shell, [tuple(shell.points[i] for i in S) for S in sorted(found)]
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Sampled sweeps. Each drawn subset is classified on its own: antipodal,
 # then degenerate, then its admissible classes are the anchor's N - 1
 # chord keys, one class each, filtered vertex by vertex through the same
-# packed-key lookups as the exhaustive masks. There is no slow fallback: a
+# packed-key lookups as the exhaustive leaves. There is no slow fallback: a
 # shell whose keys do not fit in int64 is refused when its table is built.
 
 
@@ -437,12 +466,7 @@ def _evaluate_sample(tb: _Tables, idx: tuple[int, ...]) -> tuple[str, int]:
         return ("a", 0)
     if affine_rank(tuple(tb.pts[i] for i in idx)) < tb.dim - 1:
         return ("d", 0)
-    chords = tb.chords(idx[0])
-    for i in idx[1:]:
-        k = tb.keys[i]
-        chords = chords[tb.on_shell(k - chords) | tb.on_shell(k + chords)]
-        if len(chords) == 0:
-            return ("ok", 0)
+    chords = tb.admissible(idx)
     keys = tb.key_list
     edges = {abs(keys[a] - keys[b]) for a, b in combinations(idx, 2)}
     return ("ok", sum(1 for t in np.abs(chords).tolist() if t not in edges))
@@ -451,13 +475,6 @@ def _evaluate_sample(tb: _Tables, idx: tuple[int, ...]) -> tuple[str, int]:
 def _sampled_chunk(dim: int, lam: int, subsets: list[tuple[int, ...]]) -> list[tuple[str, int]]:
     tb = _tables(dim, lam)
     return [_evaluate_sample(tb, idx) for idx in subsets]
-
-
-def _split_ranges(n: int, parts: int) -> list[tuple[int, int]]:
-    # Front-load the ranges: low first indices own the deepest subtrees.
-    bounds = [round(n * (1 - (1 - f / parts) ** 0.5)) for f in range(parts + 1)]
-    bounds[0], bounds[-1] = 0, n
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def verify_lemma(
@@ -471,19 +488,19 @@ def verify_lemma(
     """Sweep vertex subsets of the shell and tally translate counts.
 
     Exhaustive mode accounts for every subset of size m = dim +
-    extra_points (guarded at 10^7 combinations) but visits only those
-    holding a vertex-orbit representative r, weighting r's tallies by
-    |orbit(r)| / m; sampled mode draws seeded random subsets until `count`
+    extra_points (guarded at 10^7 combinations) but visits one canonical
+    subset per orbit of the signed permutations B_n (of its sign changes
+    when B_n's index table would exceed GROUP_TABLE_BYTES), weighted by the
+    orbit's size; sampled mode draws seeded random subsets until `count`
     valid simplices have been checked (or a 50x attempt cap is hit).
     Invalid subsets are skipped and tallied by reason, antipodal checked
-    before degeneracy in both modes. Exhaustive violations found at r are
-    expanded by one signed permutation per point of r's orbit, deduplicated
-    and listed in index order. The result is deterministic for a fixed seed
-    and identical for any thread count; violations, if any exist, are
-    re-derived through the reference membership path and preserved
-    verbatim. `shell` must be the whole enumerated shell: the sweep's
-    tables come from enumerating (dim, lam), so a hand-built subset is
-    refused.
+    before degeneracy in both modes. Each exhaustive violation is expanded
+    over its orbit and the union listed in index order. The result is
+    deterministic for a fixed seed and identical for any thread count;
+    violations, if any exist, are re-derived through the reference
+    membership path and preserved verbatim. `shell` must be the whole
+    enumerated shell: the sweep's tables come from enumerating (dim, lam),
+    so a hand-built subset is refused.
     """
     if extra_points < 0:
         raise ContractError(f"extra_points must be >= 0, got {extra_points}")
@@ -510,44 +527,19 @@ def verify_lemma(
             f"the {n} given points differ from the {tables.n} points of "
             f"shell({shell.dim}, {shell.lam}); sweep the enumerated shell"
         )
-    if n < m:
+    if n < m or (mode == "exhaustive" and 2 * m > n):
+        # every m-subset, if any, holds one of the n/2 antipodal pairs
         return LemmaSweepReport(
-            **base, simplices_checked=0, skipped_degenerate=0, skipped_antipodal=0,
+            **base, simplices_checked=0, skipped_degenerate=0, skipped_antipodal=comb(n, m),
             max_nonedge_count=0, histogram={}, violations=(),
         )
 
     if mode == "exhaustive":
-        orbits = _vertex_orbits(shell.points)
-        ranges = _split_ranges(n - 1, max(1, threads * 4)) if threads > 1 else [(0, n - 1)]
-        tasks = [(rep, members, lo, hi) for rep, members in orbits for lo, hi in ranges]
-        argses = [(shell.dim, shell.lam, m, tables.index[rep], lo, hi) for rep, _, lo, hi in tasks]
-        parts = run_chunks(_exhaustive_chunk, argses, threads)
-        weights = [len(members) for _, members, _, _ in tasks]
-
-        def total(counts) -> int:
-            # exact: every m-subset is counted once per vertex
-            return sum(w * c for w, c in zip(weights, counts)) // m
-
-        hist: dict[int, int] = {}
-        for w, p in zip(weights, parts):
-            for k, v in p["hist"].items():
-                hist[k] = hist.get(k, 0) + w * v
-        found: set[tuple[int, ...]] = set()
-        for (_, members, _, _), p in zip(tasks, parts):
-            for g in map(_coset_map, members):
-                for idx in p["violations"]:
-                    found.add(tuple(sorted(tables.index[g(tables.pts[i])] for i in idx)))
-        violations = tuple(
-            find_translates(Simplex(shell, tuple(tables.pts[i] for i in idx)))
-            for idx in sorted(found)
-        )
-        return LemmaSweepReport(
-            **base, simplices_checked=total(p["checked"] for p in parts),
-            skipped_degenerate=total(p["degenerate"] for p in parts),
-            skipped_antipodal=total(p["antipodal"] for p in parts),
-            max_nonedge_count=max((p["max_ne"] for p in parts), default=0),
-            histogram={k: v // m for k, v in sorted(hist.items())}, violations=violations,
-        )
+        # B_n when its table fits, decided before it is built; its 2^n sign
+        # changes always fit, since with 2m <= N the guard keeps 2^n N below 2^17
+        fits = 4 * 2**shell.dim * factorial(shell.dim) * n <= GROUP_TABLE_BYTES
+        group = "signed-permutations" if fits else "sign-changes"
+        return LemmaSweepReport(**base, **_exhaustive(shell, m, group, threads))
 
     rng = np.random.default_rng(seed)
     cap = SAMPLE_ATTEMPT_FACTOR * count
@@ -583,7 +575,7 @@ def verify_lemma(
                 viol_subsets.append(tuple(shell.points[i] for i in idx))
             if checked >= count:
                 break
-    violations = tuple(find_translates(Simplex(shell, verts)) for verts in viol_subsets)
+    violations = _reference_reports(shell, viol_subsets)
     return LemmaSweepReport(
         **base, simplices_checked=checked, skipped_degenerate=sk_d, skipped_antipodal=sk_a,
         max_nonedge_count=max_ne, histogram=dict(sorted(hist.items())),

@@ -148,6 +148,13 @@ def test_lemma_exhaustive_byte_identical_across_threads():
     assert code1 == code3 == 0
     assert out1 == out3
     assert json.loads(out1)["mode"] == "exhaustive"
+    # 960 violations, merged from two workers and expanded over their orbits
+    argv = ["lemma", "--dim", "4", "--lambda", "12"]
+    code1, out1, _ = run_cli(argv + ["--threads", "1"])
+    code2, out2, _ = run_cli(argv + ["--threads", "2"])
+    assert code1 == code2 == 1
+    assert out1 == out2
+    assert len(json.loads(out1)["violations"]) == 960
 
 
 def test_lemma_guard_exits_2():

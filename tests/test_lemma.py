@@ -1,5 +1,5 @@
-from itertools import combinations
-from math import comb
+from itertools import combinations, permutations, product
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -13,12 +13,23 @@ from torus_spectra import (
     ResourceLimitError,
     enumerate_shell,
     find_translates,
+    lemma,
     sweep_to_json,
     validate_simplex,
     verify_lemma,
 )
 from torus_spectra.lattice import SphereShell, negate
-from torus_spectra.lemma import _evaluate_sample, _tables, _Tables, _translate_sets, affine_rank
+from torus_spectra.lemma import (
+    GROUP_TABLE_BYTES,
+    _canonical_sets,
+    _evaluate_sample,
+    _exhaustive,
+    _group,
+    _tables,
+    _Tables,
+    _translate_sets,
+    affine_rank,
+)
 
 
 # --------------------------------------------------------------------------
@@ -204,6 +215,111 @@ def test_exhaustive_classifies_antipodal_before_degenerate():
     assert total == comb(n, 5)
 
 
+def _signed_permutations(shell: SphereShell) -> set[tuple[int, ...]]:
+    """B_n acting on the shell's point indices, one index tuple per element."""
+    index = {p: i for i, p in enumerate(shell.points)}
+    return {
+        tuple(index[tuple(s * p[k] for s, k in zip(signs, perm))] for p in shell.points)
+        for perm in permutations(range(shell.dim))
+        for signs in product((1, -1), repeat=shell.dim)
+    }
+
+
+def _burnside_orbits(group: set[tuple[int, ...]], m: int) -> int:
+    """Orbits of m-subsets, (1/|H|) sum_h fix_h.
+
+    h fixes an m-subset iff the subset is a union of h-cycles, so fix_h is
+    the x^m coefficient of the product of (1 + x^len) over h's cycles.
+    """
+    total = 0
+    for h in group:
+        seen = [False] * len(h)
+        poly = [1] + [0] * m
+        for start in range(len(h)):
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = True
+                i = h[i]
+                length += 1
+            if length:
+                poly = [poly[d] + (poly[d - length] if d >= length else 0) for d in range(m + 1)]
+        total += poly[m]
+    assert total % len(group) == 0
+    return total // len(group)
+
+
+@pytest.mark.parametrize(
+    "dim,lam,orbits", [(4, 12, 9547), (3, 41, 3031), (5, 2, 362)], ids=["4-12", "3-41", "5-2"]
+)
+def test_orderly_generation_visits_each_orbit_once(dim, lam, orbits):
+    """One canonical leaf per B_n-orbit of dim-subsets, weights summing to C(N, dim).
+
+    The group is rebuilt here from plain tuples, and the orbit count comes
+    from Burnside's lemma over its cycle structure on the shell.
+    """
+    shell = enumerate_shell(dim, lam)
+    table = _group(dim, lam, "signed-permutations")
+    group = _signed_permutations(shell)
+    assert len(table) == len(group) == 2**dim * factorial(dim)
+    assert set(map(tuple, table.tolist())) == group
+    assert _burnside_orbits(group, dim) == orbits
+    leaves = weight = 0
+    for _, J, stab in _canonical_sets(table, dim):
+        leaves += len(J)
+        weight += int((len(table) // stab).sum())
+    assert leaves == orbits
+    assert weight == comb(len(shell), dim)
+
+
+@pytest.mark.parametrize(
+    "dim,lam,extra,kinds",
+    [
+        (4, 4, 0, ("signed-permutations", "sign-changes", "trivial")),
+        (3, 9, 1, ("signed-permutations", "sign-changes", "trivial")),
+        # the trivial group visits all C(40,4) prefixes of shell(5,2): about 25 s
+        (5, 2, 0, ("signed-permutations", "sign-changes")),
+    ],
+    ids=["4-4", "3-9-extra1", "5-2"],
+)
+def test_group_choice_does_not_change_reports(dim, lam, extra, kinds):
+    """Any subgroup of B_n gives exact tallies: the orbit weights make up the difference."""
+    shell = enumerate_shell(dim, lam)
+    reports = [_exhaustive(shell, dim + extra, kind, 1) for kind in kinds]
+    assert all(report == reports[0] for report in reports[1:])
+
+
+def test_group_table_budget_falls_back_to_sign_changes(monkeypatch):
+    """B_n's table is built only when it fits GROUP_TABLE_BYTES, else its sign changes are.
+
+    B_8 on shell(8,1) would take 2^8 * 8! * 16 int32 = 660 MB.
+    """
+    built = []
+
+    def recording_group(dim, lam, kind):
+        built.append((dim, kind))
+        return _group(dim, lam, kind)
+
+    monkeypatch.setattr(lemma, "_group", recording_group)
+    verify_lemma(enumerate_shell(5, 2), mode="exhaustive")
+    shell = enumerate_shell(8, 1)
+    assert 4 * 2**8 * factorial(8) * len(shell) > GROUP_TABLE_BYTES
+    report = verify_lemma(shell, mode="exhaustive")
+    assert set(built) == {(5, "signed-permutations"), (8, "sign-changes")}
+    assert report.simplices_checked == 256  # one point of each of the 8 antipodal pairs
+    assert report.skipped_antipodal == comb(16, 8) - 256 == 12614
+    assert report.skipped_degenerate == 0
+
+
+def test_more_vertices_than_antipodal_pairs():
+    # shell(2,5) has 4 antipodal pairs: 5 vertices always hold one, 4 vertices
+    # avoid them only by taking one point of each pair
+    shell = enumerate_shell(2, 5)
+    over = verify_lemma(shell, mode="exhaustive", extra_points=3)
+    assert (over.simplices_checked, over.skipped_antipodal, over.skipped_degenerate) == (0, 56, 0)
+    at = verify_lemma(shell, mode="exhaustive", extra_points=2)
+    assert (at.simplices_checked, at.skipped_antipodal, at.skipped_degenerate) == (16, 54, 0)
+
+
 def test_empty_and_tiny_shells():
     report = verify_lemma(enumerate_shell(2, 3), mode="exhaustive")
     assert report.simplices_checked == 0
@@ -304,8 +420,9 @@ def test_partial_shell_is_refused():
 
 
 def test_threads_do_not_change_results():
-    # several vertex orbits, an extra point, and rank pruning on shell(5,2)
-    for dim, lam, extra in [(3, 41, 0), (4, 4, 0), (3, 9, 1), (5, 2, 0)]:
+    # several vertex orbits, an extra point, rank pruning on shell(5,2), and
+    # pairs (m = 2), which are swept in the calling process
+    for dim, lam, extra in [(3, 41, 0), (4, 4, 0), (3, 9, 1), (5, 2, 0), (2, 65, 0)]:
         shell = enumerate_shell(dim, lam)
         assert verify_lemma(
             shell, mode="exhaustive", extra_points=extra, threads=2
