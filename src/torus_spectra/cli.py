@@ -188,7 +188,7 @@ def cmd_sweep(args) -> int:
             )
         else:
             try:
-                lemma_report = verify_lemma(shell, mode="exhaustive", threads=args.threads)
+                lemma_report = verify_lemma(shell, mode="exhaustive")
             except ResourceLimitError:
                 lemma_report = None  # too many subsets; lemma column left blank
         if lemma_report is not None and lemma_report.violations:

@@ -234,9 +234,8 @@ def _ascend(engine: SpectrumEngine, a0: np.ndarray, p: float, cfg: ExtremizerCon
     return a, f, iterations, stop, history
 
 
-def _restart_chunk(shell: SphereShell, support, p: float, cfg_fields: tuple,
+def _restart_chunk(shell: SphereShell, support, p: float, cfg: ExtremizerConfig,
                    indices: list[int], keep_history: bool) -> list[dict]:
-    cfg = ExtremizerConfig(*cfg_fields)
     engine = SpectrumEngine(shell, support)
     out = []
     for r in indices:
@@ -281,18 +280,17 @@ def maximize(
         )
     cfg = config or ExtremizerConfig()
     support_t = tuple(sorted(tuple(q) for q in support)) if support is not None else None
-    cfg_fields = (cfg.restarts, cfg.max_iters, cfg.step_init, cfg.tol, cfg.seed)
     indices = list(range(cfg.restarts))
     if threads > 1 and cfg.restarts > 1:
         slices = np.array_split(np.array(indices), min(threads, cfg.restarts))
         argses = [
-            (shell, support_t, p, cfg_fields, [int(i) for i in sl], keep_history)
+            (shell, support_t, p, cfg, [int(i) for i in sl], keep_history)
             for sl in slices
             if len(sl)
         ]
         results = [r for part in run_chunks(_restart_chunk, argses, threads) for r in part]
     else:
-        results = _restart_chunk(shell, support_t, p, cfg_fields, indices, keep_history)
+        results = _restart_chunk(shell, support_t, p, cfg, indices, keep_history)
 
     best = None
     for r in results:

@@ -30,13 +30,15 @@ set membership, independent of the keys.
 
 Every subset is classified antipodal first, then degenerate (affine rank
 below n - 1), then checked, so each tally depends on the subset alone.
-The signed permutations B_n map the shell onto itself and preserve all of
-these, so the exhaustive sweep visits one subset per B_n-orbit (orderly
-generation: the lexicographically smallest sorted index tuple of each
-orbit) and weights it by the orbit's size. Above a byte budget for B_n's
-index table it uses the 2^n sign changes instead, with the same tallies.
-Each violation found stands for its whole orbit, and every member is
-re-derived through the reference membership path.
+The exhaustive sweep counts the C(N, m) - 2^m C(N/2, m) antipodal subsets
+in closed form (the shell is closed under negation) and visits one
+antipodal-free subset per B_n-orbit, B_n the signed permutations, which
+map the shell onto itself and preserve every tally (orderly generation:
+the lexicographically smallest sorted index tuple of each orbit), weighted
+by the orbit's size. Above a byte budget for B_n's index table it uses the
+2^n sign changes instead, with the same tallies. Each violation found
+stands for its whole orbit, and every member is re-derived through the
+reference membership path. Only sampled sweeps use worker processes.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, gcd, isqrt
-from operator import add, mul, sub
+from operator import mul, sub
 
 import numpy as np
 
@@ -119,10 +121,6 @@ def _diff(a: Point, b: Point) -> Point:
     return tuple(map(sub, a, b))
 
 
-def _add(a: Point, b: Point) -> Point:
-    return tuple(map(add, a, b))
-
-
 def affine_rank(vertices: tuple[Point, ...]) -> int:
     """Rank of {v_i - v_0}, by exact integer elimination with cross-multiplied rows."""
     rows = [list(_diff(v, vertices[0])) for v in vertices[1:]]
@@ -172,30 +170,25 @@ def validate_simplex(shell: SphereShell, vertices: list[Point] | tuple[Point, ..
 
 
 def _translate_sets(
-    shell: SphereShell, verts: tuple[Point, ...], anchored: dict | None = None
+    shell: SphereShell, verts: tuple[Point, ...], classes: dict | None = None
 ) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
     """Reference path: admissible translate classes of a vertex tuple.
 
-    Filters the sorted anchored candidate set vertex by vertex with plain
-    membership queries (the anchor admits every candidate by construction);
-    `anchored` keeps each first vertex's candidate list across calls. Used
+    A class t is admissible at v exactly when t = +-(v - q) for some shell
+    point q != v, so the admissible classes are the intersection over the
+    vertices of their class sets {sign_canonical(v - q)}, built with plain
+    tuple arithmetic; `classes` keeps each vertex's set across calls. Used
     for single simplices and to re-derive sweep findings independently of
     the packed-key fast path.
     """
-    anchored = {} if anchored is None else anchored
-    anchor = verts[0]
-    if anchor not in anchored:
-        anchored[anchor] = sorted(
-            {sign_canonical(_diff(anchor, q)) for q in shell.points if q != anchor}
-        )
-    translates = anchored[anchor]
-    for v in verts[1:]:
-        translates = [
-            t for t in translates if _diff(v, t) in shell.index or _add(v, t) in shell.index
-        ]
+    classes = {} if classes is None else classes
+    for v in verts:
+        if v not in classes:
+            classes[v] = {sign_canonical(_diff(v, q)) for q in shell.points if q != v}
+    translates = tuple(sorted(set.intersection(*(classes[v] for v in verts))))
     edges = {sign_canonical(_diff(a, b)) for a, b in combinations(verts, 2)}
     edge_translates = tuple(t for t in translates if t in edges)
-    return tuple(translates), edge_translates
+    return translates, edge_translates
 
 
 def find_translates(simplex: Simplex) -> TranslateReport:
@@ -208,12 +201,12 @@ def find_translates(simplex: Simplex) -> TranslateReport:
 
 
 def _reference_reports(shell: SphereShell, subsets) -> tuple[TranslateReport, ...]:
-    """Reference-path reports of vertex tuples, one candidate list per first vertex."""
-    anchored: dict[Point, list[Point]] = {}
+    """Reference-path reports of vertex tuples, one class set per distinct vertex."""
+    classes: dict[Point, set[Point]] = {}
     budget = 2 ** (shell.dim - 1)
     reports = []
     for verts in subsets:
-        translates, edges = _translate_sets(shell, verts, anchored)
+        translates, edges = _translate_sets(shell, verts, classes)
         reports.append(TranslateReport(
             simplex=Simplex(shell, verts), translates=translates, edge_translates=edges,
             budget=budget, violated=len(translates) - len(edges) > budget,
@@ -289,11 +282,14 @@ def _tables(dim: int, lam: int) -> _Tables:
 # index of a canonical set leaves a canonical set, since an image below the
 # rest stays below once any one index is added to both; so extending
 # canonical prefixes by larger indices reaches every orbit exactly once.
-# Shell(4,12) under B_4 has 9,547 canonical 4-subsets for C(96,4) =
-# 3,321,960. The leaves of one prefix are classified together: antipodal,
-# then degenerate (exact rank against an integer basis of the prefix's
-# orthogonal complement), then by their non-edge classes, the first
-# vertex's chord keys filtered vertex by vertex as in sampled mode. A
+# Being antipodal-free is H-invariant and survives the same deletion, so
+# only antipodal-free children are generated, and the other C(N, m) -
+# 2^m C(N/2, m) subsets (N/2 antipodal pairs) are tallied in closed form.
+# Shell(4,12) under B_4 has 9,547 canonical 4-subsets, 8,864 of them
+# antipodal-free, for C(96,4) = 3,321,960. The leaves of one prefix are
+# classified together: degenerate (exact rank against an integer basis of
+# the prefix's orthogonal complement), then by their non-edge classes, the
+# first vertex's chord keys filtered vertex by vertex as in sampled mode. A
 # violating canonical set stands for its orbit {sorted(h(S)) : h in H}.
 
 
@@ -314,17 +310,18 @@ def _group(dim: int, lam: int, kind: str) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _canonical_sets(H: np.ndarray, m: int, prefixes=((),)):
-    """Orderly generation below the canonical `prefixes`, depth first in index order.
+def _canonical_sets(H: np.ndarray, m: int, neg: np.ndarray | None = None):
+    """Orderly generation of canonical m-subsets, depth first in index order.
 
     Yields (P, J, stab) for each canonical (m-1)-subset P reached: P + (j,)
-    for j in J are its canonical children, with stabilizer sizes stab. For
-    h fixing P, h(S) < S iff h(j) < j. Otherwise u = sorted(h(P)) first
-    exceeds P at some i, and h(S) < S iff h(j) < P[i], or h(j) = P[i] (one
-    j per h) and (u_i, ..., u_{k-1}) is below (P[i+1], ..., P[k-1], j);
-    equality there puts h in the stabilizer of S.
+    for j in J are its canonical children, with stabilizer sizes stab;
+    given the antipode map `neg`, children whose antipode is in P are
+    dropped. For h fixing P, h(S) < S iff h(j) < j. Otherwise u =
+    sorted(h(P)) first exceeds P at some i, and h(S) < S iff h(j) < P[i],
+    or h(j) = P[i] (one j per h) and (u_i, ..., u_{k-1}) is below
+    (P[i+1], ..., P[k-1], j); equality there puts h in the stabilizer of S.
     """
-    stack = list(reversed(prefixes))
+    stack = [()]
     while stack:
         P = stack.pop()
         lo, k = (P[-1] + 1 if P else 0), len(P)
@@ -332,6 +329,9 @@ def _canonical_sets(H: np.ndarray, m: int, prefixes=((),)):
         X = H[:, lo:]
         bad = np.zeros(len(J), dtype=bool)
         stab = np.zeros(len(J), dtype=np.int64)
+        if neg is not None:
+            anti = neg[list(P)]
+            bad[anti[anti >= lo] - lo] = True
         if k and len(J):
             U = np.sort(H[:, P], axis=1)
             p = np.array(P, dtype=H.dtype)
@@ -385,66 +385,38 @@ def _nonedge_counts(tb: _Tables, P: tuple[int, ...], J: np.ndarray) -> np.ndarra
     return (hit & ~(np.abs(chords)[:, None] == edges).any(2)).sum(1)
 
 
-def _orderly_chunk(dim: int, lam: int, m: int, group: str, prefixes) -> dict:
-    """Tallies over the canonical m-subsets below `prefixes`, weighted by orbit size.
-
-    Violations are the canonical sets themselves, as sorted index tuples.
-    """
+def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
+    """Report fields of the exhaustive sweep of m-subsets, generated under the group `kind`."""
+    dim, lam, n = shell.dim, shell.lam, len(shell)
     tb = _tables(dim, lam)
-    H = _group(dim, lam, group)
-    out = dict(checked=0, antipodal=0, degenerate=0, max_ne=0, hist=Counter(), violations=[])
-    for P, J, stab in _canonical_sets(H, m, prefixes):
+    H = _group(dim, lam, kind)
+    checked = degenerate = max_ne = 0
+    hist: Counter = Counter()
+    found = set()
+    for P, J, stab in _canonical_sets(H, m, tb.neg):
         weight = len(H) // stab
-        in_p = np.zeros(tb.n, dtype=bool)
-        in_p[list(P)] = True
-        if in_p[tb.neg[list(P)]].any():
-            out["antipodal"] += int(weight.sum())
-            continue
-        anti = in_p[tb.neg[J]]
         basis = _complement((tb.arr[list(P[1:])] - tb.arr[P[0]]).tolist(), dim)
         raises = np.array([
             any(sum(map(mul, w, d)) for w in basis) for d in (tb.arr[J] - tb.arr[P[0]]).tolist()
         ], dtype=bool)
         # P + (j,) has affine rank dim - len(basis) + raises[j], which must reach dim - 1
-        full = ~anti & (raises >= len(basis) - 1)
-        out["antipodal"] += int(weight[anti].sum())
-        out["degenerate"] += int(weight[~anti & ~full].sum())
+        full = raises >= len(basis) - 1
+        degenerate += int(weight[~full].sum())
         if not full.any():
             continue
         J, weight = J[full], weight[full]
         ne = _nonedge_counts(tb, P, J)
-        out["checked"] += int(weight.sum())
+        checked += int(weight.sum())
         for c, w in zip(ne.tolist(), weight.tolist()):
-            out["hist"][c] += w
-        out["max_ne"] = max(out["max_ne"], int(ne.max()))
-        out["violations"] += [P + (j,) for j in J[ne > 2 ** (dim - 1)].tolist()]
-    return out
-
-
-def _exhaustive(shell: SphereShell, m: int, group: str, threads: int) -> dict:
-    """Report fields of the exhaustive sweep of m-subsets, generated under `group`.
-
-    Workers take the canonical 2-subsets round robin; the merge is a sum.
-    """
-    dim, lam = shell.dim, shell.lam
-    H = _group(dim, lam, group)
-    if threads > 1 and m > 2:
-        heads = [P for P, _, _ in _canonical_sets(H, 3)]
-        argses = [(dim, lam, m, group, heads[i::threads]) for i in range(min(threads, len(heads)))]
-    else:
-        argses = [(dim, lam, m, group, ((),))]
-    parts = run_chunks(_orderly_chunk, argses, threads)
-    hist = sum((p["hist"] for p in parts), Counter())
-    found = {
-        tuple(row)
-        for part in parts for S in part["violations"]
-        for row in np.sort(H[:, S], axis=1).tolist()
-    }
+            hist[c] += w
+        max_ne = max(max_ne, int(ne.max()))
+        for j in J[ne > 2 ** (dim - 1)].tolist():
+            found.update(map(tuple, np.sort(H[:, P + (j,)], axis=1).tolist()))
     return dict(
-        simplices_checked=sum(p["checked"] for p in parts),
-        skipped_degenerate=sum(p["degenerate"] for p in parts),
-        skipped_antipodal=sum(p["antipodal"] for p in parts),
-        max_nonedge_count=max((p["max_ne"] for p in parts), default=0),
+        simplices_checked=checked,
+        skipped_degenerate=degenerate,
+        skipped_antipodal=comb(n, m) - 2**m * comb(n // 2, m),
+        max_nonedge_count=max_ne,
         histogram=dict(sorted(hist.items())),
         violations=_reference_reports(
             shell, [tuple(shell.points[i] for i in S) for S in sorted(found)]
@@ -489,14 +461,17 @@ def verify_lemma(
 
     Exhaustive mode accounts for every subset of size m = dim +
     extra_points (guarded at 10^7 combinations) but visits one canonical
-    subset per orbit of the signed permutations B_n (of its sign changes
-    when B_n's index table would exceed GROUP_TABLE_BYTES), weighted by the
-    orbit's size; sampled mode draws seeded random subsets until `count`
-    valid simplices have been checked (or a 50x attempt cap is hit).
-    Invalid subsets are skipped and tallied by reason, antipodal checked
-    before degeneracy in both modes. Each exhaustive violation is expanded
-    over its orbit and the union listed in index order. The result is
-    deterministic for a fixed seed and identical for any thread count;
+    antipodal-free subset per orbit of the signed permutations B_n (of its
+    sign changes when B_n's index table would exceed GROUP_TABLE_BYTES),
+    weighted by the orbit's size; the C(N, m) - 2^m C(N/2, m) subsets
+    holding an antipodal pair are counted in closed form. Sampled mode
+    draws seeded random subsets until `count` valid simplices have been
+    checked (or a 50x attempt cap is hit). Invalid subsets are skipped and
+    tallied by reason, antipodal checked before degeneracy in both modes.
+    Each exhaustive violation is expanded over its orbit and the union
+    listed in index order. Only sampled mode uses `threads` worker
+    processes; the exhaustive sweep runs in the calling process. The result
+    is deterministic for a fixed seed and identical for any thread count;
     violations, if any exist, are re-derived through the reference
     membership path and preserved verbatim. `shell` must be the whole
     enumerated shell: the sweep's tables come from enumerating (dim, lam),
@@ -539,7 +514,7 @@ def verify_lemma(
         # changes always fit, since with 2m <= N the guard keeps 2^n N below 2^17
         fits = 4 * 2**shell.dim * factorial(shell.dim) * n <= GROUP_TABLE_BYTES
         group = "signed-permutations" if fits else "sign-changes"
-        return LemmaSweepReport(**base, **_exhaustive(shell, m, group, threads))
+        return LemmaSweepReport(**base, **_exhaustive(shell, m, group))
 
     rng = np.random.default_rng(seed)
     cap = SAMPLE_ATTEMPT_FACTOR * count

@@ -271,6 +271,26 @@ def test_orderly_generation_visits_each_orbit_once(dim, lam, orbits):
     assert weight == comb(len(shell), dim)
 
 
+@pytest.mark.parametrize("dim,lam", [(3, 9), (4, 4), (5, 2)], ids=["3-9", "4-4", "5-2"])
+def test_pruned_generation_counts_antipodal_free_subsets(dim, lam):
+    """Antipode pruning keeps exactly the antipodal-free orbits; the rest match the closed form.
+
+    Both counts come from a brute-force scan over all dim-subsets, with
+    antipodes found by negating plain tuples.
+    """
+    shell = enumerate_shell(dim, lam)
+    n = len(shell)
+    pair = [min(i, shell.points.index(negate(p))) for i, p in enumerate(shell.points)]
+    free = sum(len({pair[i] for i in S}) == dim for S in combinations(range(n), dim))
+    table = _group(dim, lam, "signed-permutations")
+    leaves = _canonical_sets(table, dim, _tables(dim, lam).neg)
+    weight = sum(int((len(table) // stab).sum()) for _, _, stab in leaves)
+    assert weight == free
+    antipodal = comb(n, dim) - free
+    assert comb(n, dim) - 2**dim * comb(n // 2, dim) == antipodal
+    assert _exhaustive(shell, dim, "signed-permutations")["skipped_antipodal"] == antipodal
+
+
 @pytest.mark.parametrize(
     "dim,lam,extra,kinds",
     [
@@ -284,7 +304,7 @@ def test_orderly_generation_visits_each_orbit_once(dim, lam, orbits):
 def test_group_choice_does_not_change_reports(dim, lam, extra, kinds):
     """Any subgroup of B_n gives exact tallies: the orbit weights make up the difference."""
     shell = enumerate_shell(dim, lam)
-    reports = [_exhaustive(shell, dim + extra, kind, 1) for kind in kinds]
+    reports = [_exhaustive(shell, dim + extra, kind) for kind in kinds]
     assert all(report == reports[0] for report in reports[1:])
 
 
@@ -420,8 +440,7 @@ def test_partial_shell_is_refused():
 
 
 def test_threads_do_not_change_results():
-    # several vertex orbits, an extra point, rank pruning on shell(5,2), and
-    # pairs (m = 2), which are swept in the calling process
+    # several vertex orbits, an extra point, rank pruning on shell(5,2), and pairs (m = 2)
     for dim, lam, extra in [(3, 41, 0), (4, 4, 0), (3, 9, 1), (5, 2, 0), (2, 65, 0)]:
         shell = enumerate_shell(dim, lam)
         assert verify_lemma(
@@ -431,6 +450,18 @@ def test_threads_do_not_change_results():
     assert verify_lemma(shell5, mode="sampled", count=1500, seed=3, threads=2) == verify_lemma(
         shell5, mode="sampled", count=1500, seed=3, threads=1
     )
+
+
+def test_exhaustive_sweeps_in_process(monkeypatch):
+    """The exhaustive sweep opens no worker pool, whatever `threads` asks for."""
+
+    def no_pool(*args):
+        raise AssertionError("exhaustive sweep opened a worker pool")
+
+    shell = enumerate_shell(4, 4)
+    expected = verify_lemma(shell, mode="exhaustive")
+    monkeypatch.setattr(lemma, "run_chunks", no_pool)
+    assert verify_lemma(shell, mode="exhaustive", threads=4) == expected
 
 
 def test_known_budget_excess_on_4_12_is_reported_and_sound():
