@@ -166,6 +166,8 @@ def cmd_sweep(args) -> int:
         raise TorusSpectraError(
             f"lambda-min {args.lambda_min} exceeds lambda-max {args.lambda_max}"
         )
+    if args.random_trials < 1:
+        raise TorusSpectraError(f"random-trials must be >= 1, got {args.random_trials}")
     header = "dim,lambda,shell_count,lp_value,bound,passed,max_nonedge_translates,budget"
     lines = [header]
     all_passed = True

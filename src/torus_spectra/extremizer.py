@@ -15,14 +15,16 @@ g_xi = dF/dx_xi + i dF/dy_xi, bilinearity of b gives
     g_xi = 2 p sum_{zeta in S} |b_{xi-zeta}|^(p-2) b_{xi-zeta} a_zeta,
 
 a Hermitian matrix-vector product over the precomputed pair structure.
-Ascent is projected gradient with renormalization to the sphere after
-every step and backtracking halving whenever the objective would
-decrease, so each run's objective sequence is non-decreasing.
-
-Each vector's spectrum b is accumulated once: a trial step's b gives its
-value, and when the trial is accepted the same b gives its gradient. Each
-restart reports why it stopped: `tol` (tangential gradient below the
-tolerance), `stalled` (no step above STEP_FLOOR ascends) or `max_iters`.
+f is positively homogeneous of degree 2p, so Euler's identity gives
+Re<a, g> = 2p f > 0 and the critical points of f on the sphere are
+exactly the fixed points of a <- g / |g|. Each step takes that
+fixed-point iterate (SS-HOPM with shift 0; Kolda & Mayo, SIAM J. Matrix
+Anal. Appl. 32(4), 2011) and keeps it only if the objective strictly
+increases, so each run's objective sequence is strictly increasing and
+every accepted iterate's value and gradient come from one evaluation.
+Each restart reports why it stopped: `tol` (tangential gradient below
+the tolerance), `stalled` (the fixed-point step does not increase the
+objective; the last iterate is kept) or `max_iters`.
 """
 
 from __future__ import annotations
@@ -49,16 +51,11 @@ from .spectra import (
 # generic points.
 GRAD_ZERO_TOL = 1e-14
 
-STEP_FLOOR = 1e-18
-STEP_GROW = 1.5
-STEP_CAP = 1e3
-
 
 @dataclass(frozen=True)
 class ExtremizerConfig:
     restarts: int = 10
     max_iters: int = 5000
-    step_init: float = 0.1
     tol: float = 1e-8
     seed: int = 0
 
@@ -67,8 +64,6 @@ class ExtremizerConfig:
             raise ContractError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ContractError("max_iters must be >= 1")
-        if self.step_init <= 0:
-            raise ContractError("step_init must be positive")
         if self.tol <= 0:
             raise ContractError("tol must be positive")
 
@@ -77,9 +72,11 @@ class ExtremizerConfig:
 class AscentRun:
     """One restart: final objective value, iteration count, stop reason.
 
-    `stop` is "tol", "stalled" or "max_iters"; the run converged when it
-    stopped on the tolerance. `history` (objective value per accepted
-    iterate, starting point included) is kept only when requested.
+    `stop` is "tol", "stalled" (the fixed-point step would not increase
+    the objective, so the last iterate is kept) or "max_iters"; the run
+    converged when it stopped on the tolerance. `history` (objective
+    value per accepted iterate, starting point included, strictly
+    increasing) is kept only when requested.
     """
 
     index: int
@@ -141,21 +138,13 @@ class SpectrumEngine:
         scale = np.where(mags < GRAD_ZERO_TOL, 0.0, mags ** (p - 2))
         return p * scale * b
 
-    def spectrum(self, a: np.ndarray) -> np.ndarray:
-        """b_tau over the support's difference vectors, for `b=` below."""
-        return self._pairs.accumulate(a)
+    def power_value(self, a: np.ndarray, p: float) -> float:
+        """f = sum |b_tau|^p."""
+        return float((np.abs(self._pairs.accumulate(a)) ** p).sum())
 
-    def power_value(self, a: np.ndarray, p: float, b: np.ndarray | None = None) -> float:
-        """f = sum |b_tau|^p; `b` is a's spectrum if already computed."""
-        if b is None:
-            b = self.spectrum(a)
-        return float((np.abs(b) ** p).sum())
-
-    def power_value_and_gradient(self, a: np.ndarray, p: float,
-                                 b: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-        """f and its gradient; `b` is a's spectrum if already computed."""
-        if b is None:
-            b = self.spectrum(a)
+    def power_value_and_gradient(self, a: np.ndarray, p: float) -> tuple[float, np.ndarray]:
+        """f and its gradient."""
+        b = self._pairs.accumulate(a)
         mags = np.abs(b)
         f = float((mags**p).sum())
         s = self._pairs.size
@@ -203,8 +192,8 @@ def _ascend(engine: SpectrumEngine, a0: np.ndarray, p: float, cfg: ExtremizerCon
             keep_history: bool) -> tuple[np.ndarray, float, int, str, list[float] | None]:
     a = a0 / np.linalg.norm(a0)
     f, g = engine.power_value_and_gradient(a, p)
-    history = [f ** (1.0 / p)] if keep_history else None
-    step = cfg.step_init
+    value = f ** (1.0 / p)
+    history = [value] if keep_history else None
     stop = "max_iters"
     iterations = 0
     while iterations < cfg.max_iters:
@@ -213,24 +202,17 @@ def _ascend(engine: SpectrumEngine, a0: np.ndarray, p: float, cfg: ExtremizerCon
         if np.linalg.norm(g - radial * a) < cfg.tol:
             stop = "tol"
             break
-        moved = False
-        while step > STEP_FLOOR:
-            trial = a + step * g
-            trial /= np.linalg.norm(trial)
-            b_trial = engine.spectrum(trial)
-            f_trial = engine.power_value(trial, p, b_trial)
-            if f_trial >= f:
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            stop = "stalled"  # no ascent at any step size: numerically stationary
+        trial = g / np.linalg.norm(g)
+        f_trial, g_trial = engine.power_value_and_gradient(trial, p)
+        # compare the objective itself: f can still grow in its last bit
+        # while its p-th root, the recorded value, stays put
+        value_trial = f_trial ** (1.0 / p)
+        if not value_trial > value:
+            stop = "stalled"  # numerically stationary: keep the last iterate
             break
-        a = trial
-        f, g = engine.power_value_and_gradient(a, p, b_trial)
+        a, f, g, value = trial, f_trial, g_trial, value_trial
         if keep_history:
-            history.append(f ** (1.0 / p))
-        step = min(step * STEP_GROW, STEP_CAP)
+            history.append(value)
     return a, f, iterations, stop, history
 
 
@@ -258,7 +240,7 @@ def maximize(
     keep_history: bool = False,
     threads: int = 1,
 ) -> ExtremalReport:
-    """Best-of-restarts projected gradient ascent on the amplitude sphere.
+    """Best-of-restarts fixed-point ascent a <- grad f / |grad f| on the sphere.
 
     Restart r draws a gaussian start with seed config.seed + r (restricted
     to `support` when given; off-support gradients vanish, so the support
@@ -280,17 +262,10 @@ def maximize(
         )
     cfg = config or ExtremizerConfig()
     support_t = tuple(sorted(tuple(q) for q in support)) if support is not None else None
-    indices = list(range(cfg.restarts))
-    if threads > 1 and cfg.restarts > 1:
-        slices = np.array_split(np.array(indices), min(threads, cfg.restarts))
-        argses = [
-            (shell, support_t, p, cfg, [int(i) for i in sl], keep_history)
-            for sl in slices
-            if len(sl)
-        ]
-        results = [r for part in run_chunks(_restart_chunk, argses, threads) for r in part]
-    else:
-        results = _restart_chunk(shell, support_t, p, cfg, indices, keep_history)
+    chunks = min(max(threads, 1), cfg.restarts)
+    slices = np.array_split(np.arange(cfg.restarts), chunks)
+    argses = [(shell, support_t, p, cfg, [int(i) for i in sl], keep_history) for sl in slices]
+    results = [r for part in run_chunks(_restart_chunk, argses, threads) for r in part]
 
     best = None
     for r in results:

@@ -254,6 +254,15 @@ def test_sweep_rejects_inverted_range():
     assert code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_sweep_rejects_random_trials_below_one(trials):
+    # no trial would leave lp_value at 0, below the b_0 = 1 floor, yet "passed"
+    code, out, err = run_cli(["sweep", "--dim", "2", "--lambda-min", "1", "--lambda-max", "2",
+                              "--random-trials", trials])
+    assert (code, out) == (2, "")
+    assert "random-trials" in err
+
+
 def test_threads_env_fallback(monkeypatch):
     monkeypatch.setenv("TORUS_SPECTRA_THREADS", "2")
     code, out, _ = run_cli(["shell", "--dim", "2", "--lambda", "25", "--count-only"])

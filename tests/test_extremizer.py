@@ -18,7 +18,7 @@ from torus_spectra import (
     objective,
     random_coeffs,
 )
-from torus_spectra.extremizer import STEP_CAP, STEP_FLOOR, STEP_GROW, _ascend
+from torus_spectra.extremizer import _ascend
 from torus_spectra.spectra import PairStructure
 
 
@@ -121,7 +121,7 @@ def test_maximize_monotone_feasible_and_bounded():
     assert len(report.runs) == 3
     for run in report.runs:
         hist = run.history
-        assert all(b >= a - 1e-12 for a, b in zip(hist, hist[1:]))
+        assert all(b > a for a, b in zip(hist, hist[1:]))
         assert report.best_value >= hist[0] - 1e-12
     # feasibility is enforced by construction of the coefficients
     total = math.fsum(abs(x) ** 2 for x in report.best_coeffs.amplitudes.values())
@@ -151,8 +151,6 @@ def test_config_validation():
     with pytest.raises(ContractError):
         ExtremizerConfig(restarts=0)
     with pytest.raises(ContractError):
-        ExtremizerConfig(step_init=-1.0)
-    with pytest.raises(ContractError):
         ExtremizerConfig(tol=0.0)
 
 
@@ -174,40 +172,30 @@ def test_stop_reasons():
     # restart 1 of seed 0 draws its start with seed 1
     stalled = maximize(enumerate_shell(2, 65), 4.0, ExtremizerConfig(restarts=1, seed=1),
                        keep_history=True)
-    assert (stalled.runs[0].stop, stalled.runs[0].iterations) == ("stalled", 95)
+    assert (stalled.runs[0].stop, stalled.runs[0].iterations) == ("stalled", 93)
     assert stalled.converged is False
 
 
 def reference_ascend(engine, a0, p, cfg):
-    """The projected ascent evaluating every vector from scratch; counts its trials."""
+    """The fixed-point ascent a <- g/|g|, evaluating every vector from scratch."""
     a = a0 / np.linalg.norm(a0)
     f, g = engine.power_value_and_gradient(a, p)
     history = [f ** (1.0 / p)]
-    step = cfg.step_init
     converged = False
-    iterations = trials = 0
+    iterations = 0
     while iterations < cfg.max_iters:
         iterations += 1
         radial = (a.conj() @ g).real
         if np.linalg.norm(g - radial * a) < cfg.tol:
             converged = True
             break
-        moved = False
-        while step > STEP_FLOOR:
-            trial = a + step * g
-            trial /= np.linalg.norm(trial)
-            trials += 1
-            if engine.power_value(trial, p) >= f:
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
+        trial = g / np.linalg.norm(g)
+        if not engine.power_value(trial, p) ** (1.0 / p) > history[-1]:
             break
         a = trial
         f, g = engine.power_value_and_gradient(a, p)
         history.append(f ** (1.0 / p))
-        step = min(step * STEP_GROW, STEP_CAP)
-    return a, f, iterations, converged, history, trials
+    return a, f, iterations, converged, history
 
 
 def starts(engine, cfg):
@@ -223,7 +211,7 @@ def test_ascent_matches_from_scratch_reference(dim, lam, p, restarts, max_iters)
     engine = SpectrumEngine(enumerate_shell(dim, lam))
     for a0 in starts(engine, cfg):
         a, f, iterations, stop, history = _ascend(engine, a0, p, cfg, True)
-        ref_a, ref_f, ref_iterations, ref_converged, ref_history, _ = reference_ascend(
+        ref_a, ref_f, ref_iterations, ref_converged, ref_history = reference_ascend(
             engine, a0, p, cfg
         )
         assert np.array_equal(a, ref_a)
@@ -234,12 +222,10 @@ def test_ascent_matches_from_scratch_reference(dim, lam, p, restarts, max_iters)
 
 def test_ascent_evaluation_counts(monkeypatch):
     # what a run trace counts as value and gradient evaluations keeps its meaning:
-    # one value per trial step, one gradient per accepted iterate and per start,
-    # and one spectrum per trial and per start, plus the winner's objective
+    # no bare values, one gradient per start and per iteration past the tol check
+    # (the fixed-point trial), and one spectrum per gradient plus the winner's objective
     shell = enumerate_shell(2, 65)
     cfg = ExtremizerConfig(restarts=4, seed=0)
-    engine = SpectrumEngine(shell)
-    trials = sum(reference_ascend(engine, a0, 4.0, cfg)[5] for a0 in starts(engine, cfg))
     calls = dict.fromkeys(("power_value", "power_value_and_gradient", "accumulate"), 0)
     for cls, name in ((SpectrumEngine, "power_value"),
                       (SpectrumEngine, "power_value_and_gradient"),
@@ -250,9 +236,19 @@ def test_ascent_evaluation_counts(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
     report = maximize(shell, 4.0, cfg, keep_history=True)
-    accepted = sum(len(run.history) - 1 for run in report.runs)
+    gradients = sum(run.iterations - run.converged for run in report.runs) + cfg.restarts
     assert calls == {
-        "power_value": trials,
-        "power_value_and_gradient": accepted + cfg.restarts,
-        "accumulate": trials + cfg.restarts + 1,
+        "power_value": 0,
+        "power_value_and_gradient": gradients,
+        "accumulate": gradients + 1,
     }
+
+
+def test_restarts_on_shell_2_65_reach_the_known_maximum():
+    # every restart ends at (81/64)^(1/4) = 1.0606601718
+    report = maximize(enumerate_shell(2, 65), 4.0, ExtremizerConfig(restarts=4, seed=0),
+                      keep_history=True)
+    assert len(report.runs) == 4
+    for run in report.runs:
+        assert run.value == pytest.approx((81 / 64) ** 0.25, abs=1e-10)
+        assert all(b > a for a, b in zip(run.history, run.history[1:]))
