@@ -126,12 +126,6 @@ class SpectrumEngine:
     def vector(self, coeffs: EigenfunctionCoeffs) -> np.ndarray:
         return np.array([coeffs.amplitudes.get(p, 0.0) for p in self.points], dtype=np.complex128)
 
-    def coeffs(self, a: np.ndarray) -> EigenfunctionCoeffs:
-        scale = 1.0 / math.sqrt(math.fsum((x.real * x.real + x.imag * x.imag) for x in a))
-        return EigenfunctionCoeffs(
-            self.shell, {p: complex(x * scale) for p, x in zip(self.points, a)}
-        )
-
     def _weights(self, b: np.ndarray, mags: np.ndarray, p: float) -> np.ndarray:
         if p == 2:
             return p * b
@@ -271,8 +265,10 @@ def maximize(
     for r in results:
         if best is None or r["f"] > best["f"]:
             best = r
-    engine = SpectrumEngine(shell, support_t)
-    best_coeffs = engine.coeffs(best["a"])
+    a = best["a"]
+    scale = 1.0 / math.sqrt(math.fsum((x.real * x.real + x.imag * x.imag) for x in a))
+    points = shell.points if support_t is None else support_t
+    best_coeffs = EigenfunctionCoeffs(shell, {q: complex(x * scale) for q, x in zip(points, a)})
     best_value = objective(best_coeffs, p)
     runs = None
     if keep_history:

@@ -4,13 +4,18 @@ Floats are printed with 17 significant digits so emitted numbers
 round-trip to the exact same doubles and repeated runs produce
 byte-identical files. Dict keys keep insertion order; callers construct
 objects in a fixed order. NaN and infinities are rejected outright.
+
+`dumps` tests the exact types float, int, str, dict, list and tuple
+first, then falls back to isinstance checks in the order None, bool,
+Integral, Real, str, dict, list/tuple: a numpy scalar renders as its
+int() or float() value, a subclass as its base type does.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
+from json.encoder import encode_basestring_ascii as _quote
 
 
 def format_float(x: float) -> str:
@@ -20,45 +25,44 @@ def format_float(x: float) -> str:
 
 
 def dumps(obj, pretty: bool = True) -> str:
-    pieces: list[str] = []
-    _write(obj, pieces, 0, pretty)
-    return "".join(pieces)
+    step = "  " if pretty else ""
+    colon = ": " if pretty else ":"
+    keys: dict[str, str] = {}  # key -> its quoted form and colon
 
+    def key(k) -> str:
+        if not isinstance(k, str):
+            raise TypeError(f"JSON object keys must be strings, got {k!r}")
+        keys[k] = rendered = _quote(k) + colon
+        return rendered
 
-def _write(obj, out: list[str], depth: int, pretty: bool) -> None:
-    nl = "\n" + "  " * (depth + 1) if pretty else ""
-    close_nl = "\n" + "  " * depth if pretty else ""
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, numbers.Integral):
-        out.append(str(int(obj)))
-    elif isinstance(obj, numbers.Real):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            out.append("," + nl if i else nl)
-            out.append(json.dumps(k))
-            out.append(": " if pretty else ":")
-            _write(v, out, depth + 1, pretty)
-        out.append(close_nl + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[")
-        for i, v in enumerate(obj):
-            out.append("," + nl if i else nl)
-            _write(v, out, depth + 1, pretty)
-        out.append(close_nl + "]")
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__} as JSON")
+    def render(x, indent: str) -> str:
+        t = type(x)
+        if t is float:  # x - x == 0.0 exactly when x is finite
+            return format(x, ".17g") if x - x == 0.0 else format_float(x)
+        if t is int:
+            return str(x)
+        if t is str:
+            return _quote(x)
+        if t is not dict and t is not list and t is not tuple:
+            if x is None:
+                return "null"
+            if isinstance(x, bool):
+                return "true" if x else "false"
+            if isinstance(x, numbers.Integral):
+                return str(int(x))
+            if isinstance(x, numbers.Real):
+                return format_float(float(x))
+            if isinstance(x, str):
+                return _quote(x)
+            if not isinstance(x, (dict, list, tuple)):
+                raise TypeError(f"cannot render {type(x).__name__} as JSON")
+        if not x:
+            return "{}" if isinstance(x, dict) else "[]"
+        inner = indent + step
+        if isinstance(x, dict):
+            items = [(keys.get(k) or key(k)) + render(v, inner) for k, v in x.items()]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        items = map(str, x) if set(map(type, x)) == {int} else [render(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+    return render(obj, "\n" if pretty else "")

@@ -154,6 +154,10 @@ def random_coeffs(
 # which difference vector. Cached because optimization loops and random
 # trials reuse the same support thousands of times.
 
+# Byte budget for the arrays one PairStructure build holds, estimated from
+# the support size before any of them is allocated.
+PAIR_INDEX_BYTES = 2**30
+
 
 class PairStructure:
     """Difference-vector index for an ordered support of lattice points.
@@ -172,8 +176,13 @@ class PairStructure:
         self.lam = lam
         self.supp = supp
         s = len(supp)
-        if s * s * dim > 2 * 10**8:
-            raise ResourceLimitError(f"support of {s} points too large for dense pair indexing")
+        # diffs (dim per pair), keys and inv (one each) and bins (two), all 8 bytes
+        need = 8 * s * s * (dim + 4)
+        if need > PAIR_INDEX_BYTES:
+            raise ResourceLimitError(
+                f"support of {s} points too large for dense pair indexing: about {need} bytes, "
+                f"above the {PAIR_INDEX_BYTES}-byte guard"
+            )
         diffs = (supp[:, None, :] - supp[None, :, :]).reshape(s * s, dim)
         spec = pack_spec(dim, 2 * isqrt(lam) if lam else 0)
         if spec is not None:

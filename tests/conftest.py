@@ -9,7 +9,9 @@ other way around.
 from __future__ import annotations
 
 import io
+import json
 import math
+import numbers
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from itertools import combinations, product
@@ -19,6 +21,7 @@ import numpy as np
 
 from torus_spectra import EigenfunctionCoeffs, SphereShell
 from torus_spectra.cli import main
+from torus_spectra.jsonfmt import format_float
 from torus_spectra.lattice import Point, sign_canonical
 
 
@@ -152,3 +155,49 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:  # argparse usage failures
             code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue(), err.getvalue()
+
+
+def reference_dumps(obj, pretty: bool = True) -> str:
+    """The recursive JSON writer that `jsonfmt.dumps` replaced: the byte oracle."""
+    pieces: list[str] = []
+    _write(obj, pieces, 0, pretty)
+    return "".join(pieces)
+
+
+def _write(obj, out: list[str], depth: int, pretty: bool) -> None:
+    nl = "\n" + "  " * (depth + 1) if pretty else ""
+    close_nl = "\n" + "  " * depth if pretty else ""
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, numbers.Integral):
+        out.append(str(int(obj)))
+    elif isinstance(obj, numbers.Real):
+        out.append(format_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be strings, got {k!r}")
+            out.append("," + nl if i else nl)
+            out.append(json.dumps(k))
+            out.append(": " if pretty else ":")
+            _write(v, out, depth + 1, pretty)
+        out.append(close_nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[")
+        for i, v in enumerate(obj):
+            out.append("," + nl if i else nl)
+            _write(v, out, depth + 1, pretty)
+        out.append(close_nl + "]")
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} as JSON")

@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from torus_spectra import (
     objective,
     random_coeffs,
 )
+from torus_spectra import spectra
 from torus_spectra.extremizer import _ascend
 from torus_spectra.spectra import PairStructure
 
@@ -242,6 +244,27 @@ def test_ascent_evaluation_counts(monkeypatch):
         "power_value_and_gradient": gradients,
         "accumulate": gradients + 1,
     }
+
+
+@pytest.mark.parametrize("threads,expected", [(1, [16, 16]), (2, [16])])
+def test_maximize_builds_no_pair_structure_for_the_winner(monkeypatch, threads, expected):
+    # with the pair cache off every request builds one; the calling process
+    # builds the restarts' engine (unless workers run them) and the winner's
+    # objective, and nothing for the winner's coefficients
+    monkeypatch.setattr(spectra, "_PAIR_CACHE", OrderedDict())
+    monkeypatch.setattr(spectra, "_PAIR_CACHE_MAX", 0)
+    built = []
+    init = PairStructure.__init__
+
+    def counted(self, dim, lam, supp):
+        built.append(len(supp))
+        init(self, dim, lam, supp)
+
+    monkeypatch.setattr(PairStructure, "__init__", counted)
+    report = maximize(enumerate_shell(2, 65), 4.0, ExtremizerConfig(restarts=2, max_iters=50),
+                      threads=threads)
+    assert built == expected
+    assert report.best_coeffs.support == enumerate_shell(2, 65).points
 
 
 def test_restarts_on_shell_2_65_reach_the_known_maximum():

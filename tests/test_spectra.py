@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from torus_spectra import (
     parseval_check,
     random_coeffs,
 )
+from torus_spectra import spectra
 from torus_spectra.errors import ResourceLimitError
-from torus_spectra.spectra import pair_structure, spectrum_entries_json
+from torus_spectra.spectra import PairStructure, pair_structure, spectrum_entries_json
 
 RT2 = math.sqrt(0.5)
 
@@ -181,6 +183,37 @@ def test_accumulate_and_gather_match_two_bincount_formula(dim, lam):
         assert np.array_equal(b, br + 1j * bi)
         w = rng.standard_normal(len(taus)) + 1j * rng.standard_normal(len(taus))
         assert np.array_equal(ps.gather(w), w[inv])
+
+
+def peak_bytes_of(fn):
+    """Peak bytes that fn allocates (numpy arrays included), and what it raised."""
+    tracemalloc.start()
+    try:
+        fn()
+        raised = None
+    except ResourceLimitError as exc:
+        raised = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, raised
+
+
+def test_pair_guard_refuses_by_bytes_before_allocating(monkeypatch):
+    # shell(5,14): 800 points, about 46 MB of diffs, keys, inv and bins
+    supp = np.array(enumerate_shell(5, 14).points, dtype=np.int64)
+    monkeypatch.setattr(spectra, "PAIR_INDEX_BYTES", 10**6)
+    peak, raised = peak_bytes_of(lambda: PairStructure(5, 14, supp))
+    assert isinstance(raised, ResourceLimitError) and "bytes" in str(raised)
+    assert peak < 10**5
+    monkeypatch.undo()
+    # at the default budget: the largest shell in use builds, and 6000 points
+    # in dim 5 (about 2.6 GB) are refused up front
+    assert PairStructure(5, 14, supp).size == 800
+    many = np.zeros((6000, 5), np.int64)
+    peak, raised = peak_bytes_of(lambda: PairStructure(5, 5, many))
+    assert isinstance(raised, ResourceLimitError)
+    assert peak < 10**5
 
 
 def test_b0_and_hermitian_symmetry():
