@@ -23,10 +23,18 @@ def pack_spec(dim: int, max_abs: int) -> tuple[int, int] | None:
 
 
 def pack_rows(rows: np.ndarray, bias: int, radix: int) -> np.ndarray:
-    """Keys for rows known to satisfy |c| <= bias componentwise."""
+    """Keys for rows known to satisfy |c| <= bias componentwise.
+
+    Built in place, with the bias of every coordinate folded into one final
+    add, so the output is the only row-count-long allocation.
+    """
     keys = np.zeros(rows.shape[0], dtype=np.int64)
+    offset = 0
     for d in range(rows.shape[1]):
-        keys = keys * radix + (rows[:, d] + bias)
+        keys *= radix
+        keys += rows[:, d]
+        offset = offset * radix + bias
+    keys += offset
     return keys
 
 

@@ -17,14 +17,23 @@ g_xi = dF/dx_xi + i dF/dy_xi, bilinearity of b gives
 a Hermitian matrix-vector product over the precomputed pair structure.
 f is positively homogeneous of degree 2p, so Euler's identity gives
 Re<a, g> = 2p f > 0 and the critical points of f on the sphere are
-exactly the fixed points of a <- g / |g|. Each step takes that
-fixed-point iterate (SS-HOPM with shift 0; Kolda & Mayo, SIAM J. Matrix
-Anal. Appl. 32(4), 2011) and keeps it only if the objective strictly
+exactly the fixed points of a <- g / |g| (SS-HOPM with shift 0; Kolda &
+Mayo, SIAM J. Matrix Anal. Appl. 32(4), 2011).
+
+On the sphere b_0 = sum |a_xi|^2 = 1, so the term |b_0|^p = 1 of f is a
+constant there, and its gradient 2p a is radial. Each step therefore
+first tries the fixed-point iterate of the non-constant part,
+d / |d| with d = g - 2p a (SS-HOPM with shift -2p): it has the same
+fixed points on the sphere, and it is not slowed down by the radial term
+that dominates g while f is near 1. A negative shift loses the
+monotonicity guarantee of the unshifted step, so when that trial does
+not strictly increase the objective the unshifted iterate g / |g| is
+tried as a safeguard. An iterate is kept only if the objective strictly
 increases, so each run's objective sequence is strictly increasing and
 every accepted iterate's value and gradient come from one evaluation.
 Each restart reports why it stopped: `tol` (tangential gradient below
-the tolerance), `stalled` (the fixed-point step does not increase the
-objective; the last iterate is kept) or `max_iters`.
+`tol` times |g|), `stalled` (neither trial increases the objective; the
+last iterate is kept) or `max_iters`.
 """
 
 from __future__ import annotations
@@ -72,11 +81,11 @@ class ExtremizerConfig:
 class AscentRun:
     """One restart: final objective value, iteration count, stop reason.
 
-    `stop` is "tol", "stalled" (the fixed-point step would not increase
-    the objective, so the last iterate is kept) or "max_iters"; the run
-    converged when it stopped on the tolerance. `history` (objective
-    value per accepted iterate, starting point included, strictly
-    increasing) is kept only when requested.
+    `stop` is "tol", "stalled" (neither the shifted nor the unshifted
+    fixed-point step would increase the objective, so the last iterate is
+    kept) or "max_iters"; the run converged when it stopped on the
+    tolerance. `history` (objective value per accepted iterate, starting
+    point included, strictly increasing) is kept only when requested.
     """
 
     index: int
@@ -184,6 +193,16 @@ def finite_difference_gradient(fn, a: np.ndarray, h: float = 1e-6) -> np.ndarray
 
 def _ascend(engine: SpectrumEngine, a0: np.ndarray, p: float, cfg: ExtremizerConfig,
             keep_history: bool) -> tuple[np.ndarray, float, int, str, list[float] | None]:
+    """Safeguarded fixed-point ascent of f on the unit sphere from a0.
+
+    The first trial drops the term |b_0|^p, constant on the sphere where
+    b_0 = |a|^2 = 1: d/|d| with d = g - 2p a, SS-HOPM with shift -2p (the
+    same fixed points, since 2p a is radial). A negative shift can lose
+    monotonicity, so when that trial does not strictly increase the value,
+    or |d| is 0 or not finite, the unshifted g/|g| is tried; the run stops
+    as `stalled` when neither climbs. Each trial is one
+    `power_value_and_gradient` call.
+    """
     a = a0 / np.linalg.norm(a0)
     f, g = engine.power_value_and_gradient(a, p)
     value = f ** (1.0 / p)
@@ -193,15 +212,21 @@ def _ascend(engine: SpectrumEngine, a0: np.ndarray, p: float, cfg: ExtremizerCon
     while iterations < cfg.max_iters:
         iterations += 1
         radial = (a.conj() @ g).real
-        if np.linalg.norm(g - radial * a) < cfg.tol:
+        g_norm = np.linalg.norm(g)
+        if np.linalg.norm(g - radial * a) < cfg.tol * g_norm:
             stop = "tol"
             break
-        trial = g / np.linalg.norm(g)
-        f_trial, g_trial = engine.power_value_and_gradient(trial, p)
-        # compare the objective itself: f can still grow in its last bit
-        # while its p-th root, the recorded value, stays put
-        value_trial = f_trial ** (1.0 / p)
-        if not value_trial > value:
+        d = g - 2.0 * p * a
+        d_norm = np.linalg.norm(d)
+        trials = (d / d_norm, g / g_norm) if 0 < d_norm < math.inf else (g / g_norm,)
+        for trial in trials:
+            f_trial, g_trial = engine.power_value_and_gradient(trial, p)
+            # compare the objective itself: f can still grow in its last bit
+            # while its p-th root, the recorded value, stays put
+            value_trial = f_trial ** (1.0 / p)
+            if value_trial > value:
+                break
+        else:
             stop = "stalled"  # numerically stationary: keep the last iterate
             break
         a, f, g, value = trial, f_trial, g_trial, value_trial
@@ -234,7 +259,7 @@ def maximize(
     keep_history: bool = False,
     threads: int = 1,
 ) -> ExtremalReport:
-    """Best-of-restarts fixed-point ascent a <- grad f / |grad f| on the sphere.
+    """Best-of-restarts safeguarded fixed-point ascent on the sphere (see `_ascend`).
 
     Restart r draws a gaussian start with seed config.seed + r (restricted
     to `support` when given; off-support gradients vanish, so the support

@@ -28,6 +28,7 @@ from torus_spectra import (
     random_coeffs,
 )
 from torus_spectra import spectra
+from torus_spectra._packing import pack_rows
 from torus_spectra.errors import ResourceLimitError
 from torus_spectra.spectra import PairStructure, pair_structure, spectrum_entries_json
 
@@ -214,6 +215,17 @@ def test_pair_guard_refuses_by_bytes_before_allocating(monkeypatch):
     peak, raised = peak_bytes_of(lambda: PairStructure(5, 5, many))
     assert isinstance(raised, ResourceLimitError)
     assert peak < 10**5
+
+
+def test_pack_rows_allocates_only_its_output():
+    # keys are built in place: no row-count-long temporary beside the output
+    rows = np.random.default_rng(3).integers(-6, 7, size=(100_000, 6))
+    out = []
+    peak, raised = peak_bytes_of(lambda: out.append(pack_rows(rows, 6, 13)))
+    assert raised is None
+    assert peak <= out[0].nbytes + 2**16
+    oracle = [sum((int(c) + 6) * 13 ** (5 - i) for i, c in enumerate(row)) for row in rows[:2000]]
+    assert out[0][:2000].tolist() == oracle
 
 
 def test_b0_and_hermitian_symmetry():
