@@ -29,6 +29,7 @@ from .spectra import (
     coeffs_to_json,
     lp_norm,
     random_coeffs,
+    require_exponent,
     spectrum_entries_json,
 )
 
@@ -88,6 +89,8 @@ def cmd_shell(args) -> int:
 
 def cmd_spectrum(args) -> int:
     shell = enumerate_shell(args.dim, args.lam)
+    p = float(args.p) if args.p is not None else float(shell.dim)
+    require_exponent(p, 1, "spectrum")
     if args.coeffs is not None:
         try:
             with open(args.coeffs, "r", encoding="utf-8") as fh:
@@ -103,7 +106,6 @@ def cmd_spectrum(args) -> int:
     else:
         mode, k = _parse_random_mode(args.random)
         coeffs = random_coeffs(shell, seed=args.seed, mode=mode, k=k)
-    p = float(args.p) if args.p is not None else float(shell.dim)
     spectrum = autocorrelation(coeffs)
     value = lp_norm(spectrum, p)
     bound, passed = bound_verdict(shell.dim, p, value)

@@ -53,6 +53,7 @@ from .spectra import (
     bound_verdict,
     lp_norm,
     pair_structure,
+    require_exponent,
 )
 
 # |b_tau| below this contributes no gradient term: |b|^p = (|b|^2)^(p/2) is
@@ -163,11 +164,10 @@ def objective(coeffs: EigenfunctionCoeffs, p: float) -> float:
 def gradient(coeffs: EigenfunctionCoeffs, p: float) -> dict[Point, complex]:
     """Gradient of objective**p in real amplitude coordinates, over all shell points.
 
-    Packaged per point as dF/dx + i*dF/dy. Requires p >= 2 (below that the
-    power sum is not differentiable where entries vanish).
+    Packaged per point as dF/dx + i*dF/dy. Requires finite p >= 2 (below
+    that the power sum is not differentiable where entries vanish).
     """
-    if p < 2:
-        raise ContractError(f"gradient requires p >= 2, got {p}")
+    require_exponent(p, 2, "gradient")
     engine = SpectrumEngine(coeffs.shell)
     _, g = engine.power_value_and_gradient(engine.vector(coeffs), p)
     return {pt: complex(v) for pt, v in zip(engine.points, g)}
@@ -271,8 +271,7 @@ def maximize(
     """
     if len(shell) == 0:
         raise ContractError(f"shell({shell.dim}, {shell.lam}) is empty")
-    if p < 2:
-        raise ContractError(f"maximize requires p >= 2, got {p}")
+    require_exponent(p, 2, "maximize")
     full = enumerate_shell(shell.dim, shell.lam)
     if shell.points != full.points:
         raise ContractError(

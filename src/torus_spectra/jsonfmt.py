@@ -9,19 +9,71 @@ objects in a fixed order. NaN and infinities are rejected outright.
 first, then falls back to isinstance checks in the order None, bool,
 Integral, Real, str, dict, list/tuple: a numpy scalar renders as its
 int() or float() value, a subclass as its base type does.
+
+`Records(fields, columns)` is a list of objects stored by column: row i
+renders as {fields[k]: columns[k][i]} in field order. A 1-D float column
+gives one float per row and a 2-D integer column of positive width one
+list of ints per row; any other column raises TypeError. Each call builds
+one %-template for a row from the layout, so the text is byte-identical
+to rendering the same rows as a list of dicts of Python ints and floats,
+the ValueError for the first non-finite value included.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+
+import numpy as np
 
 
 def format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"non-finite float {x!r} in JSON output")
     return format(x, ".17g")
+
+
+@dataclass(frozen=True)
+class Records:
+    """A JSON list of objects held as aligned numpy columns (see the module docstring)."""
+
+    fields: tuple[str, ...]
+    columns: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        if not self.columns or len(self.fields) != len(self.columns) \
+                or len({len(col) for col in self.columns}) != 1:
+            raise ValueError("Records needs one column per field, all of one length")
+
+    def render(self, indent: str, step: str, colon: str) -> str:
+        if not len(self.columns[0]):
+            return "[]"
+        inner = indent + step
+        at_field = inner + step
+        at_item = at_field + step
+        parts, values, floats = [], [], []
+        for name, col in zip(self.fields, self.columns):
+            head = (_quote(name) + colon).replace("%", "%%")
+            if col.ndim == 1 and col.dtype.kind == "f":
+                parts.append(head + "%.17g")
+                values.append(col.tolist())
+                floats.append(col)
+            elif col.ndim == 2 and col.dtype.kind in "iu" and col.shape[1]:
+                items = ("," + at_item).join(["%d"] * col.shape[1])
+                parts.append(head + "[" + at_item + items + at_field + "]")
+                values += col.T.tolist()
+            else:
+                raise TypeError(f"cannot render a {col.dtype} column of shape {col.shape} as JSON")
+        if floats:
+            bad = np.column_stack([~np.isfinite(col) for col in floats])
+            if bad.any():  # raise for the first non-finite value in row order
+                row, k = np.argwhere(bad)[0]
+                format_float(float(floats[k][row]))
+        tpl = "{" + at_field + ("," + at_field).join(parts) + inner + "}"
+        rows = [tpl % row for row in zip(*values)]
+        return "[" + inner + ("," + inner).join(rows) + indent + "]"
 
 
 def dumps(obj, pretty: bool = True) -> str:
@@ -54,6 +106,8 @@ def dumps(obj, pretty: bool = True) -> str:
                 return format_float(float(x))
             if isinstance(x, str):
                 return _quote(x)
+            if t is Records:
+                return x.render(indent, step, colon)
             if not isinstance(x, (dict, list, tuple)):
                 raise TypeError(f"cannot render {type(x).__name__} as JSON")
         if not x:

@@ -37,6 +37,7 @@ from .errors import (
     RangeError,
     ResourceLimitError,
 )
+from .jsonfmt import Records
 from .lattice import Point, SphereShell, enumerate_shell
 
 # Normalization is enforced to NORM_TOL; all inequality checks against the
@@ -201,6 +202,7 @@ class PairStructure:
         np.add(self.bins[0::2], 1, out=self.bins[1::2])
         self.size = s
         self.n_taus = len(taus)
+        self.nbytes = self.bins.nbytes + taus.nbytes
         # position of tau = 0 (always present: diagonal pairs)
         zpos = np.flatnonzero(~taus.any(axis=1))
         self.zero_pos = int(zpos[0])
@@ -217,20 +219,26 @@ class PairStructure:
         return values.view(np.float64)[self.bins].view(np.complex128)
 
 
+# The cache evicts least recently used builds while the bytes they retain
+# (bins and taus) exceed PAIR_CACHE_BYTES; a build above it alone is not cached.
+PAIR_CACHE_BYTES = PAIR_INDEX_BYTES
 _PAIR_CACHE: OrderedDict[tuple, PairStructure] = OrderedDict()
-_PAIR_CACHE_MAX = 16
+_pair_cache_nbytes = 0
 
 
 def pair_structure(dim: int, lam: int, supp: np.ndarray) -> PairStructure:
+    global _pair_cache_nbytes
     key = (dim, lam, supp.tobytes())
     hit = _PAIR_CACHE.get(key)
     if hit is not None:
         _PAIR_CACHE.move_to_end(key)
         return hit
     ps = PairStructure(dim, lam, supp)
-    _PAIR_CACHE[key] = ps
-    if len(_PAIR_CACHE) > _PAIR_CACHE_MAX:
-        _PAIR_CACHE.popitem(last=False)
+    if ps.nbytes <= PAIR_CACHE_BYTES:
+        _PAIR_CACHE[key] = ps
+        _pair_cache_nbytes += ps.nbytes
+        while _pair_cache_nbytes > PAIR_CACHE_BYTES:
+            _pair_cache_nbytes -= _PAIR_CACHE.popitem(last=False)[1].nbytes
     return ps
 
 
@@ -253,10 +261,15 @@ def autocorrelation(coeffs: EigenfunctionCoeffs) -> AutocorrelationSpectrum:
     )
 
 
+def require_exponent(p: float, least: float, caller: str) -> None:
+    """Refuse p unless least <= p < inf; NaN fails the comparison and is refused too."""
+    if not least <= p < math.inf:
+        raise ContractError(f"{caller} requires finite p >= {least:g}, got {p}")
+
+
 def lp_norm(spectrum: AutocorrelationSpectrum, p: float) -> float:
-    """(sum_tau |b_tau|^p)^(1/p) over all stored entries, tau = 0 included."""
-    if p < 1:
-        raise ContractError(f"lp_norm requires p >= 1, got {p}")
+    """(sum_tau |b_tau|^p)^(1/p) over all stored entries, tau = 0 included; finite p >= 1."""
+    require_exponent(p, 1, "lp_norm")
     mags = np.abs(spectrum.values)
     return float((mags**p).sum() ** (1.0 / p))
 
@@ -425,9 +438,7 @@ def coeffs_from_json(obj: dict, force_normalize: bool = False) -> EigenfunctionC
     return EigenfunctionCoeffs(shell, amplitudes)
 
 
-def spectrum_entries_json(spectrum: AutocorrelationSpectrum) -> list[dict]:
-    """Spectrum entries as a JSON-ready list, taus in canonical order."""
-    return [
-        {"tau": t, "re": v.real, "im": v.imag}
-        for t, v in zip(spectrum.taus.tolist(), spectrum.values.tolist())
-    ]
+def spectrum_entries_json(spectrum: AutocorrelationSpectrum) -> Records:
+    """Spectrum entries as JSON-ready {"tau", "re", "im"} records, taus in canonical order."""
+    values = spectrum.values
+    return Records(("tau", "re", "im"), (spectrum.taus, values.real, values.imag))

@@ -21,7 +21,7 @@ import numpy as np
 
 from torus_spectra import EigenfunctionCoeffs, SphereShell
 from torus_spectra.cli import main
-from torus_spectra.jsonfmt import format_float
+from torus_spectra.jsonfmt import Records, format_float
 from torus_spectra.lattice import Point, sign_canonical
 
 
@@ -155,6 +155,34 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:  # argparse usage failures
             code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue(), err.getvalue()
+
+
+def reference_entries(taus: np.ndarray, values: np.ndarray) -> list[dict]:
+    """Spectrum entries as one dict per tau, built element by element: the entries oracle."""
+    return [
+        {"tau": t, "re": v.real, "im": v.imag}
+        for t, v in zip(taus.tolist(), values.tolist())
+    ]
+
+
+def expand_records(obj):
+    """`obj` with every `jsonfmt.Records` replaced by the list of dicts it stands for.
+
+    A spectrum's ("tau", "re", "im") records expand through `reference_entries`;
+    any other records row by row from their columns' Python values.
+    """
+    if isinstance(obj, Records):
+        if obj.fields == ("tau", "re", "im"):
+            taus, re, im = obj.columns
+            values = np.empty(len(re), dtype=np.complex128)
+            values.real, values.imag = re, im  # exact, signed zeros included
+            return reference_entries(taus, values)
+        return [dict(zip(obj.fields, row)) for row in zip(*(c.tolist() for c in obj.columns))]
+    if isinstance(obj, dict):
+        return {k: expand_records(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [expand_records(v) for v in obj]
+    return obj
 
 
 def reference_dumps(obj, pretty: bool = True) -> str:

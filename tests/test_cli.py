@@ -5,7 +5,7 @@ import os
 import pytest
 from conftest import run_cli
 
-from torus_spectra import check_theorem, enumerate_shell, random_coeffs
+from torus_spectra import check_theorem, cli, enumerate_shell, random_coeffs
 
 
 def test_shell_count_only():
@@ -109,6 +109,22 @@ def test_spectrum_sparse_mode_with_size():
         ["spectrum", "--dim", "2", "--lambda", "25", "--random", "bogus"]
     )
     assert code == 2 and "random mode" in err
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf", "0.5"])
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--dim", "2", "--lambda", "5", "--random", "gaussian"],
+    ["extremize", "--dim", "2", "--lambda", "5", "--restarts", "2"],
+])
+def test_exponent_outside_its_range_exits_2_before_any_work(command, p, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "autocorrelation", no_work)
+    monkeypatch.setattr("torus_spectra.extremizer.run_chunks", no_work)
+    code, out, err = run_cli(command + [f"--p={p}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "finite p >=" in err
 
 
 def test_lemma_exhaustive_3_9():

@@ -274,7 +274,7 @@ def test_maximize_builds_no_pair_structure_for_the_winner(monkeypatch, threads, 
     # builds the restarts' engine (unless workers run them) and the winner's
     # objective over its support, and nothing for the winner's coefficients
     monkeypatch.setattr(spectra, "_PAIR_CACHE", OrderedDict())
-    monkeypatch.setattr(spectra, "_PAIR_CACHE_MAX", 0)
+    monkeypatch.setattr(spectra, "PAIR_CACHE_BYTES", 0)
     built = []
     init = PairStructure.__init__
 

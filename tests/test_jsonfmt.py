@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import reference_dumps, run_cli
+from conftest import expand_records, reference_dumps, run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +39,7 @@ def assert_parity(obj):
         ["extremize", "--dim", "5", "--lambda", "5", "--restarts", "2", "--iters", "200",
          "--seed", "3"],
         ["extremize", "--dim", "3", "--lambda", "9", "--restarts", "2", "--iters", "50"],
+        ["spectrum", "--dim", "4", "--lambda", "12", "--random", "sparse:1", "--seed", "5"],
     ],
 )
 def test_cli_objects_render_as_the_reference_writer(argv, tmp_path, monkeypatch):
@@ -58,14 +59,19 @@ def test_cli_objects_render_as_the_reference_writer(argv, tmp_path, monkeypatch)
         code, out, err = run_cli(argv + layout)
         assert code in (0, 1), err
         (obj,) = emitted
-        assert out == reference_dumps(obj, pretty=not layout) + "\n"
+        if argv[0] == "spectrum":
+            assert isinstance(obj["entries"], jsonfmt.Records)
+        expanded = expand_records(obj)
+        assert out == reference_dumps(expanded, pretty=not layout) + "\n"
         for pretty in (True, False):
-            assert dumps(obj, pretty) == reference_dumps(obj, pretty)
+            assert dumps(obj, pretty) == reference_dumps(expanded, pretty)
         if argv[0] == "extremize":
             for pretty in (True, False):
                 assert dumps(obj["coeffs"], pretty) == reference_dumps(obj["coeffs"], pretty)
     if argv[:3] == ["lemma", "--dim", "4"]:
         assert obj["violations"]  # a budget excess is rendered too
+    if "sparse:1" in argv:
+        assert len(expanded["entries"]) == 1  # a single point has the single tau 0
 
 
 scalars = st.one_of(
@@ -135,3 +141,62 @@ def test_error_parity(obj, exc):
         with pytest.raises(exc):
             jsonfmt.dumps(obj, pretty)
     assert_parity(obj)
+
+
+floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.tuples(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=dim, max_size=dim),
+              floats, floats),
+    max_size=6,
+).map(lambda rows: jsonfmt.Records(("tau", "re", "x"), (
+    np.array([r[0] for r in rows], dtype=np.int64).reshape(-1, dim),
+    np.array([r[1] for r in rows]),
+    np.array([r[2] for r in rows]),
+)))))
+def test_records_render_as_their_rows_as_dicts(rec):
+    for obj in (rec, {"entries": rec, "n": [1, {"x": rec}]}):
+        for pretty in (True, False):
+            assert outcome(jsonfmt.dumps, obj, pretty) == \
+                outcome(reference_dumps, expand_records(obj), pretty)
+
+
+@pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0), (3, 0)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_column_raises_as_the_reference_writer(pos, bad):
+    # the first non-finite value in row order is reported: re[3] loses to im[1]
+    taus = np.arange(12, dtype=np.int64).reshape(4, 3)
+    re = np.linspace(-1, 1, 4)
+    im = np.linspace(2, 3, 4)
+    im[1] = -math.inf
+    (re, im)[pos[1]][pos[0]] = bad
+    rec = jsonfmt.Records(("tau", "re", "im"), (taus, re, im))
+    for pretty in (True, False):
+        got = outcome(jsonfmt.dumps, {"entries": rec}, pretty)
+        assert got[0] is ValueError
+        assert got == outcome(reference_dumps, {"entries": expand_records(rec)}, pretty)
+
+
+@pytest.mark.parametrize("columns", [
+    (np.zeros((2, 0), np.int64),),
+    (np.zeros(2, np.int64),),
+    (np.zeros((2, 2)),),
+    (np.zeros(2, np.complex128),),
+    (np.array(["a", "b"]),),
+])
+def test_records_refuse_other_columns(columns):
+    with pytest.raises(TypeError):
+        jsonfmt.dumps(jsonfmt.Records(("c",), columns))
+
+
+def test_records_validate_their_shape():
+    with pytest.raises(ValueError):
+        jsonfmt.Records(("a", "b"), (np.zeros(2),))
+    with pytest.raises(ValueError):
+        jsonfmt.Records(("a", "b"), (np.zeros(2), np.zeros(3)))
+    assert jsonfmt.dumps(jsonfmt.Records(("a",), (np.zeros(0),))) == "[]"
+    assert jsonfmt.dumps(jsonfmt.Records(('%d"', "%%"), (np.ones(1), np.zeros((1, 1), int))),
+                         pretty=False) == '[{"%d\\"":1,"%%":[0]}]'

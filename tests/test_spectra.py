@@ -1,9 +1,17 @@
 import math
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
-from conftest import brute_spectrum, normalized_coeffs, random_raw_coeffs
+from conftest import (
+    brute_spectrum,
+    expand_records,
+    normalized_coeffs,
+    random_raw_coeffs,
+    reference_dumps,
+    reference_entries,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +35,7 @@ from torus_spectra import (
     parseval_check,
     random_coeffs,
 )
-from torus_spectra import spectra
+from torus_spectra import jsonfmt, spectra
 from torus_spectra._packing import pack_rows
 from torus_spectra.errors import ResourceLimitError
 from torus_spectra.spectra import PairStructure, pair_structure, spectrum_entries_json
@@ -156,12 +164,17 @@ def test_entries_and_json_match_per_element_construction():
     assert all(type(v) is complex for v in entries.values())
     pairs = list(zip(spectrum.taus, spectrum.values))
     assert list(entries.items()) == [(tuple(int(c) for c in t), complex(v)) for t, v in pairs]
-    rows = spectrum_entries_json(spectrum)
+    rows = reference_entries(spectrum.taus, spectrum.values)
     assert all(type(c) is int for row in rows for c in row["tau"])
     assert all(type(row["re"]) is float and type(row["im"]) is float for row in rows)
     assert rows == [
         {"tau": [int(c) for c in t], "re": float(v.real), "im": float(v.imag)} for t, v in pairs
     ]
+    records = spectrum_entries_json(spectrum)
+    assert records.fields == ("tau", "re", "im")
+    assert expand_records(records) == rows
+    for pretty in (True, False):
+        assert jsonfmt.dumps(records, pretty) == reference_dumps(rows, pretty)
 
 
 @pytest.mark.parametrize("dim,lam", [(2, 65), (5, 5), (6, 6)])
@@ -215,6 +228,43 @@ def test_pair_guard_refuses_by_bytes_before_allocating(monkeypatch):
     peak, raised = peak_bytes_of(lambda: PairStructure(5, 5, many))
     assert isinstance(raised, ResourceLimitError)
     assert peak < 10**5
+
+
+def test_pair_cache_evicts_least_recently_used_builds_by_bytes(monkeypatch):
+    monkeypatch.setattr(spectra, "_PAIR_CACHE", OrderedDict())
+    monkeypatch.setattr(spectra, "_pair_cache_nbytes", 0)
+    built = []
+    init = PairStructure.__init__
+
+    def counted(self, dim, lam, supp):
+        built.append((dim, lam))
+        init(self, dim, lam, supp)
+
+    monkeypatch.setattr(PairStructure, "__init__", counted)
+    a, b, c = (2, 5), (2, 25), (3, 2)  # 8, 12 and 12 points
+    supps = {sh: np.array(enumerate_shell(*sh).points, dtype=np.int64) for sh in (a, b, c)}
+    size = {sh: PairStructure(*sh, supp).nbytes for sh, supp in supps.items()}
+    assert size[a] == 16 * 8**2 + 8 * 2 * 33  # bins and the 33 taus of shell(2,5)
+    # room for a and b together, and for c alone, but not for c beside a or b
+    monkeypatch.setattr(spectra, "PAIR_CACHE_BYTES", size[a] + size[b])
+    assert size[a] < size[b] < size[c] <= size[a] + size[b]
+    built.clear()
+
+    def request(*shells):
+        for sh in shells:
+            pair_structure(*sh, supps[sh])
+        return [key[:2] for key in spectra._PAIR_CACHE]
+
+    assert request(a, b, a) == [b, a]
+    assert request(c) == [c]  # b, the least recently used, goes first, then a
+    assert spectra._pair_cache_nbytes == size[c]
+    assert request(c, a) == [a]
+    assert built == [a, b, c, a]
+    # a build above the budget alone is returned uncached and evicts nothing
+    monkeypatch.setattr(spectra, "PAIR_CACHE_BYTES", size[b] - 1)
+    assert request(b, b) == [a]
+    assert built[-2:] == [b, b]
+    assert spectra._pair_cache_nbytes == size[a]
 
 
 def test_pack_rows_allocates_only_its_output():
