@@ -8,7 +8,10 @@ objects in a fixed order. NaN and infinities are rejected outright.
 `dumps` tests the exact types float, int, str, dict, list and tuple
 first, then falls back to isinstance checks in the order None, bool,
 Integral, Real, str, dict, list/tuple: a numpy scalar renders as its
-int() or float() value, a subclass as its base type does.
+int() or float() value, a subclass as its base type does. A list or tuple
+of exact ints renders through str, and one whose items are lists of one
+positive width holding only exact ints (a shell's points) through one %d
+row template; the text is the same as item by item.
 
 `Records(fields, columns)` is a list of objects stored by column: row i
 renders as {fields[k]: columns[k][i]} in field order. A 1-D float column
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -76,6 +80,17 @@ class Records:
         return "[" + inner + ("," + inner).join(rows) + indent + "]"
 
 
+def _int_row_template(rows: list, indent: str, step: str) -> str | None:
+    """One %d template for lists of one positive width holding only exact ints, else None."""
+    widths = set(map(len, rows))
+    if len(widths) != 1 or not (width := widths.pop()):
+        return None
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    inner = indent + step
+    return "[" + inner + ("," + inner).join(["%d"] * width) + indent + "]"
+
+
 def dumps(obj, pretty: bool = True) -> str:
     step = "  " if pretty else ""
     colon = ": " if pretty else ":"
@@ -116,7 +131,13 @@ def dumps(obj, pretty: bool = True) -> str:
         if isinstance(x, dict):
             items = [(keys.get(k) or key(k)) + render(v, inner) for k, v in x.items()]
             return "{" + inner + ("," + inner).join(items) + indent + "}"
-        items = map(str, x) if set(map(type, x)) == {int} else [render(v, inner) for v in x]
+        types = set(map(type, x))
+        if types == {int}:
+            items = map(str, x)
+        elif types == {list} and (row := _int_row_template(x, inner, step)):
+            items = [row % tuple(v) for v in x]
+        else:
+            items = [render(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
 
     return render(obj, "\n" if pretty else "")

@@ -19,14 +19,19 @@ move the anchor onto the shell, so {+-(v_1 - eta) : eta in shell} already
 contains every admissible class. All arithmetic is exact; affine rank is
 decided by integer elimination, never by a floating-point tolerance.
 
-Both sweeps share one table per shell: the points packed into sorted int64
-keys, whose only use is a binary-search membership test. The anchor's
-candidate classes need no deduplication, because distinct shell points q
-give distinct classes +-(v_1 - q): q + q' = 2 v_1 forces q = q' = v_1 on a
-sphere. A sweep over a shell whose keys do not fit in int64 is refused
-with ResourceLimitError. Single simplices (`find_translates`) and the
-re-derivation of every violation use the reference path instead: plain
-set membership, independent of the keys.
+Both sweeps share one table per shell, the points packed into sorted int64
+keys, and one kernel that classifies a batch of subsets with array
+operations: antipodal by antipode indices, degenerate by fraction-free
+elimination in int64 (guarded by Hadamard's bound), then the anchor's
+chord keys filtered vertex by vertex through a membership test, a lookup
+in a bool table addressed by key where it fits MEMBER_TABLE_BYTES and a
+binary search of the keys elsewhere. The anchor's candidate classes need
+no deduplication, because distinct shell points q give distinct classes
++-(v_1 - q): q + q' = 2 v_1 forces q = q' = v_1 on a sphere. A sweep over a
+shell whose keys do not fit in int64 is refused with ResourceLimitError.
+Single simplices (`find_translates`) and the re-derivation of every
+violation use the reference path instead: plain set membership,
+independent of the keys.
 
 Every subset is classified antipodal first, then degenerate (affine rank
 below n - 1), then checked, so each tally depends on the subset alone.
@@ -47,8 +52,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial, gcd, isqrt
-from operator import mul, sub
+from math import comb, factorial, isqrt
+from operator import sub
 
 import numpy as np
 
@@ -69,6 +74,11 @@ SAMPLE_ATTEMPT_FACTOR = 50
 # B_6 on shell(6,1) (2.2 MB, 46,080 rows for 924 subsets) costs more to scan at
 # every prefix than its orbits save; B_5 on shell(5,2) takes 0.6 MB.
 GROUP_TABLE_BYTES = 1 << 20
+# Byte budget of a shell's direct-address membership table, one bool per key
+# of its packing box; shell(5,14) takes 2.5 MB, larger boxes binary-search.
+MEMBER_TABLE_BYTES = 1 << 24
+# (subset, chord) elements classified at once by the shared kernel; see _classify.
+CHUNK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -226,8 +236,11 @@ class _Tables:
     coordinate is positive. For shell points v, r, q every query row
     v +- (r - q) stays within the bias, and its key is key(v) +- c with the
     chord key c = key(r) - key(q) = L(r - q); |c| identifies the class
-    +-(r - q), so chords and edges compare as plain integers. Shells whose
-    keys do not fit in int64 are refused.
+    +-(r - q), so chords and edges compare as plain integers. Every such
+    key lies in [0, radix^dim), so it is its own address in `member`, one
+    bool per key of the box, when that fits MEMBER_TABLE_BYTES; larger boxes
+    binary-search the sorted keys. Shells whose keys do not fit in int64 are
+    refused.
     """
 
     def __init__(self, shell: SphereShell):
@@ -244,18 +257,28 @@ class _Tables:
         self.spec = spec
         self.arr = np.array(self.pts, dtype=np.int64).reshape(self.n, shell.dim)
         self.keys = pack_rows(self.arr, *spec)  # ascending: points are in lexicographic order
-        self.key_list = self.keys.tolist()
+        self.member = None
+        if spec[1] ** shell.dim <= MEMBER_TABLE_BYTES:
+            self.member = np.zeros(spec[1] ** shell.dim, dtype=bool)
+            self.member[self.keys] = True
 
     def on_shell(self, keys: np.ndarray) -> np.ndarray:
         """Elementwise shell membership of keys packed from rows within the bias."""
+        if self.member is not None:
+            return self.member[keys]
         pos = np.searchsorted(self.keys, keys)
         pos[pos == self.n] = 0
         return self.keys[pos] == keys
 
-    def admissible(self, idx) -> np.ndarray:
-        """Chord keys key(r) - key(q), r = idx[0], q != r, admissible for every point of idx."""
-        chords = np.delete(self.keys[idx[0]] - self.keys, idx[0])
-        for i in idx[1:]:
+    def admissible(self, idx, chords: np.ndarray | None = None) -> np.ndarray:
+        """Chord keys admissible for every point of idx.
+
+        By default the chords key(r) - key(q), r = idx[0], q != r; given
+        `chords`, those of them admissible at idx.
+        """
+        if chords is None:
+            chords, idx = np.delete(self.keys[idx[0]] - self.keys, idx[0]), idx[1:]
+        for i in idx:
             if len(chords) == 0:
                 break
             k = self.keys[i]
@@ -266,6 +289,110 @@ class _Tables:
 @lru_cache(maxsize=4)
 def _tables(dim: int, lam: int) -> _Tables:
     return _Tables(enumerate_shell(dim, lam))
+
+
+# ---------------------------------------------------------------------------
+# One classification kernel, shared by both sweeps. It takes a batch of
+# subsets as an (L, m) index array and their candidate classes as flat
+# (subset, chord) arrays, and classifies every subset at once: antipodal by
+# comparing `neg` indices, degenerate by exact rank, then the non-edge count
+# of its candidates admissible at the vertices left to check. Callers keep
+# the flat arrays below CHUNK_ELEMENTS, so each temporary (32 KiB at 2^12
+# int64s) stays below glibc's 128 KiB mmap threshold and the heap is reused.
+
+
+def _affine_rank_reaches(points: np.ndarray, need: int) -> np.ndarray:
+    """Whether each stack points[i] of integer points has affine rank >= need >= 1, exactly.
+
+    Fraction-free (Bareiss) elimination on the rows points[i, 1:] - points[i, 0],
+    all stacks at once in int64, each step pivoting on the first nonzero
+    entry left and clearing its row and column: after s steps every entry
+    is an (s + 1)-minor of those rows, so rank >= need iff a nonzero entry is
+    left after need - 1 steps. The last products taken are of two k-minors,
+    k = need - 1, each at most (k e^2)^(k/2) by Hadamard's bound for entries
+    |x| <= e; a batch whose bound 2 (k e^2)^k reaches 2^63 goes to
+    `affine_rank` stack by stack.
+    """
+    A = points[:, 1:] - points[:, :1]
+    L, R, C = A.shape
+    e, k = int(np.abs(A).max(initial=0)), need - 1
+    if 2 * (k * e * e) ** k >= 2**63:
+        return np.array([affine_rank(tuple(map(tuple, p))) >= need for p in points.tolist()])
+    rows = np.arange(L)
+    prev = 1
+    for _ in range(k):
+        flat = A.reshape(L, R * C)
+        at = (flat != 0).argmax(1)
+        r, c = np.divmod(at, C)
+        piv = flat[rows, at][:, None, None]
+        A = (piv * A - A[rows, :, c][:, :, None] * A[rows, r][:, None, :]) // prev
+        prev = np.where(piv == 0, 1, piv)  # a zero pivot leaves an all-zero matrix
+    return (A != 0).reshape(L, R * C).any(1)
+
+
+def _classify(
+    tb: _Tables, S: np.ndarray, seg: np.ndarray, chords: np.ndarray, start: int
+) -> np.ndarray:
+    """Outcome of each subset S[i]: -1 antipodal, -2 degenerate, else its non-edge class count.
+
+    The candidate classes of S[i] are the chord keys chords[seg == i], each
+    of one class, already admissible at the vertices S[i, :start]; they are
+    filtered through the vertices S[i, start:] one column at a time, and the
+    survivors equal to no edge key |key(a) - key(b)| are counted.
+    """
+    L, m = S.shape
+    anti = (tb.neg[S][:, :, None] == S[:, None, :]).any((1, 2))
+    full = _affine_rank_reaches(tb.arr[S], tb.dim - 1)
+    keep = (full & ~anti)[seg]
+    seg, chords = seg[keep], chords[keep]
+    keys = tb.keys[S]
+    for col in range(start, m):
+        k = keys[seg, col]
+        hit = tb.on_shell(k - chords) | tb.on_shell(k + chords)
+        seg, chords = seg[hit], chords[hit]
+    edges = np.abs(keys[:, :, None] - keys[:, None, :]).reshape(L, m * m)  # with 0 for a = b
+    nonedge = (np.abs(chords)[:, None] != edges[seg]).all(1)
+    out = np.bincount(seg[nonedge], minlength=L)
+    out[~full] = -2
+    out[anti] = -1
+    return out
+
+
+def _tally(hist: Counter, ne: np.ndarray, weight) -> None:
+    """Add each count in ne to the histogram with its weight (an array, or 1)."""
+    vals, inv = np.unique(ne, return_inverse=True)
+    sums = np.zeros(len(vals), dtype=np.int64)
+    np.add.at(sums, inv, weight)
+    for v, c in zip(vals.tolist(), sums.tolist()):
+        hist[v] += c
+
+
+def _classify_buffered(tb: _Tables, blocks, start: int):
+    """Kernel outcomes of subsets arriving in blocks, classified CHUNK_ELEMENTS at a time.
+
+    Each block (S, seg, chords, w) holds subsets S, their candidates as in
+    `_classify` with seg local to the block, and their weights w. Blocks are
+    buffered while the chunk costs at most CHUNK_ELEMENTS, one per subset
+    and one per candidate; yields (S, w, outcomes) for each chunk.
+    """
+
+    def chunk():
+        S = np.concatenate([b[0] for b in buf])
+        first = np.cumsum([0] + [len(b[0]) for b in buf]).tolist()
+        seg = np.concatenate([b[1] + i for b, i in zip(buf, first)])
+        chords = np.concatenate([b[2] for b in buf])
+        return S, np.concatenate([b[3] for b in buf]), _classify(tb, S, seg, chords, start)
+
+    buf, size = [], 0
+    for block in blocks:
+        cost = len(block[0]) + len(block[2])
+        if buf and size + cost > CHUNK_ELEMENTS:
+            yield chunk()
+            buf, size = [], 0
+        buf.append(block)
+        size += cost
+    if buf:
+        yield chunk()
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +413,11 @@ def _tables(dim: int, lam: int) -> _Tables:
 # only antipodal-free children are generated, and the other C(N, m) -
 # 2^m C(N/2, m) subsets (N/2 antipodal pairs) are tallied in closed form.
 # Shell(4,12) under B_4 has 9,547 canonical 4-subsets, 8,864 of them
-# antipodal-free, for C(96,4) = 3,321,960. The leaves of one prefix are
-# classified together: degenerate (exact rank against an integer basis of
-# the prefix's orthogonal complement), then by their non-edge classes, the
-# first vertex's chord keys filtered vertex by vertex as in sampled mode. A
-# violating canonical set stands for its orbit {sorted(h(S)) : h in H}.
+# antipodal-free, for C(96,4) = 3,321,960. Each canonical prefix filters the
+# first vertex's chord keys through its own vertices once; its leaves join a
+# buffer with those chords and are classified by the shared kernel a chunk
+# at a time, where only the last vertex is left to filter. A violating
+# canonical set stands for its orbit {sorted(h(S)) : h in H}.
 
 
 @lru_cache(maxsize=4)
@@ -360,31 +487,6 @@ def _canonical_sets(H: np.ndarray, m: int, neg: np.ndarray | None = None):
             stack.extend(P + (j,) for j in reversed(J[~bad].tolist()))
 
 
-def _complement(rows: list[list[int]], dim: int) -> list[list[int]]:
-    """Primitive integer basis of the rational space orthogonal to `rows`."""
-    basis = [[int(a == b) for b in range(dim)] for a in range(dim)]
-    for d in rows:
-        dots = [sum(map(mul, w, d)) for w in basis]
-        piv = next((i for i, x in enumerate(dots) if x), None)
-        if piv is not None:
-            w0 = basis[piv]
-            basis = [
-                [dots[piv] * x - dots[i] * y for x, y in zip(w, w0)]
-                for i, w in enumerate(basis) if i != piv
-            ]
-            basis = [[x // g for x in w] for w in basis for g in (gcd(*w),)]
-    return basis
-
-
-def _nonedge_counts(tb: _Tables, P: tuple[int, ...], J: np.ndarray) -> np.ndarray:
-    """Non-edge admissible classes of each subset P + (j,), j in J."""
-    chords = tb.admissible(P)
-    keys = np.c_[np.broadcast_to(tb.keys[list(P)], (len(J), len(P))), tb.keys[J]]
-    hit = tb.on_shell(keys[:, -1:] - chords) | tb.on_shell(keys[:, -1:] + chords)
-    edges = np.abs(keys[:, :, None] - keys[:, None, :]).reshape(len(J), 1, -1)
-    return (hit & ~(np.abs(chords)[:, None] == edges).any(2)).sum(1)
-
-
 def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
     """Report fields of the exhaustive sweep of m-subsets, generated under the group `kind`."""
     dim, lam, n = shell.dim, shell.lam, len(shell)
@@ -393,25 +495,33 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
     checked = degenerate = max_ne = 0
     hist: Counter = Counter()
     found = set()
-    for P, J, stab in _canonical_sets(H, m, tb.neg):
-        weight = len(H) // stab
-        basis = _complement((tb.arr[list(P[1:])] - tb.arr[P[0]]).tolist(), dim)
-        raises = np.array([
-            any(sum(map(mul, w, d)) for w in basis) for d in (tb.arr[J] - tb.arr[P[0]]).tolist()
-        ], dtype=bool)
-        # P + (j,) has affine rank dim - len(basis) + raises[j], which must reach dim - 1
-        full = raises >= len(basis) - 1
-        degenerate += int(weight[~full].sum())
-        if not full.any():
-            continue
-        J, weight = J[full], weight[full]
-        ne = _nonedge_counts(tb, P, J)
-        checked += int(weight.sum())
-        for c, w in zip(ne.tolist(), weight.tolist()):
-            hist[c] += w
-        max_ne = max(max_ne, int(ne.max()))
-        for j in J[ne > 2 ** (dim - 1)].tolist():
-            found.update(map(tuple, np.sort(H[:, P + (j,)], axis=1).tolist()))
+
+    def blocks():
+        parent = base = None
+        for P, J, stab in _canonical_sets(H, m, tb.neg):
+            if P[:-1] != parent:  # siblings come in a row, depth first
+                parent = P[:-1]
+                base = tb.admissible(parent) if parent else None
+            chords = tb.admissible(P[-1:], base) if parent else tb.admissible(P)
+            leaves = np.empty((len(J), m), dtype=np.intp)
+            leaves[:, :-1] = P
+            leaves[:, -1] = J
+            weight = len(H) // stab
+            step = max(1, CHUNK_ELEMENTS // (len(chords) + 1))
+            for lo in range(0, len(J), step):
+                k = min(step, len(J) - lo)
+                yield (leaves[lo : lo + k], np.repeat(np.arange(k), len(chords)),
+                       np.tile(chords, k), weight[lo : lo + k])
+
+    for S, weight, out in _classify_buffered(tb, blocks(), m - 1):
+        ok = out >= 0
+        degenerate += int(weight[~ok].sum())
+        if ok.any():
+            checked += int(weight[ok].sum())
+            _tally(hist, out[ok], weight[ok])
+            max_ne = max(max_ne, int(out.max()))
+        for row in S[out > 2 ** (dim - 1)]:
+            found.update(map(tuple, np.sort(H[:, row], axis=1).tolist()))
     return dict(
         simplices_checked=checked,
         skipped_degenerate=degenerate,
@@ -425,28 +535,33 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Sampled sweeps. Each drawn subset is classified on its own: antipodal,
-# then degenerate, then its admissible classes are the anchor's N - 1
-# chord keys, one class each, filtered vertex by vertex through the same
-# packed-key lookups as the exhaustive leaves. There is no slow fallback: a
-# shell whose keys do not fit in int64 is refused when its table is built.
+# Sampled sweeps. Subsets are drawn one at a time, each sorted, so a seed
+# always draws the same ones; each drawn batch is classified by the shared
+# kernel, in slices of CHUNK_ELEMENTS (subset, chord) elements whose
+# candidates are the anchor's N - 1 chord keys, one class each. There is no
+# slow fallback: a shell whose keys do not fit in int64 is refused when its
+# table is built.
 
 
-def _evaluate_sample(tb: _Tables, idx: tuple[int, ...]) -> tuple[str, int]:
-    """Outcome of one sampled subset: ('a'|'d', 0) skip or ('ok', nonedge count)."""
-    if {tb.neg[i] for i in idx} & set(idx):
-        return ("a", 0)
-    if affine_rank(tuple(tb.pts[i] for i in idx)) < tb.dim - 1:
-        return ("d", 0)
-    chords = tb.admissible(idx)
-    keys = tb.key_list
-    edges = {abs(keys[a] - keys[b]) for a, b in combinations(idx, 2)}
-    return ("ok", sum(1 for t in np.abs(chords).tolist() if t not in edges))
+def _classify_drawn(dim: int, lam: int, S: np.ndarray) -> np.ndarray:
+    """Kernel outcomes of drawn subsets, each anchored at its first index.
 
-
-def _sampled_chunk(dim: int, lam: int, subsets: list[tuple[int, ...]]) -> list[tuple[str, int]]:
+    The anchor's N - 1 chord keys are filtered through the second vertex
+    here, CHUNK_ELEMENTS at a time, and the survivors go to the kernel.
+    """
     tb = _tables(dim, lam)
-    return [_evaluate_sample(tb, idx) for idx in subsets]
+
+    def blocks():
+        step = max(1, CHUNK_ELEMENTS // tb.n)
+        for lo in range(0, len(S), step):
+            part = S[lo : lo + step]
+            chords = tb.keys[part[:, 0], None] - tb.keys
+            k = tb.keys[part[:, 1], None]
+            hit = (tb.on_shell(k - chords) | tb.on_shell(k + chords)) & (chords != 0)  # q != anchor
+            seg, q = np.nonzero(hit)
+            yield part, seg, chords[seg, q], np.ones(len(part), dtype=np.int64)
+
+    return np.concatenate([out for _, _, out in _classify_buffered(tb, blocks(), 2)])
 
 
 def verify_lemma(
@@ -520,36 +635,32 @@ def verify_lemma(
     cap = SAMPLE_ATTEMPT_FACTOR * count
     checked = sk_a = sk_d = attempts = 0
     max_ne = 0
-    hist = {}
+    hist: Counter = Counter()
     viol_subsets: list[tuple[Point, ...]] = []
     while checked < count and attempts < cap:
         want = min(cap - attempts, max(1024, count - checked + (count - checked) // 8))
-        batch = [
-            tuple(sorted(int(x) for x in rng.choice(n, size=m, replace=False)))
-            for _ in range(want)
-        ]
+        S = np.sort([rng.choice(n, size=m, replace=False) for _ in range(want)], axis=1)
         if threads > 1:
-            slices = np.array_split(np.arange(len(batch)), threads)
-            argses = [(shell.dim, shell.lam, [batch[i] for i in sl]) for sl in slices if len(sl)]
-            outcomes = [o for part in run_chunks(_sampled_chunk, argses, threads) for o in part]
+            parts = [part for part in np.array_split(S, threads) if len(part)]
+            argses = [(shell.dim, shell.lam, part) for part in parts]
+            out = np.concatenate(run_chunks(_classify_drawn, argses, threads))
         else:
-            outcomes = _sampled_chunk(shell.dim, shell.lam, batch)
-        for idx, (status, ne) in zip(batch, outcomes):
-            attempts += 1
-            if status == "a":
-                sk_a += 1
-                continue
-            if status == "d":
-                sk_d += 1
-                continue
-            checked += 1
-            hist[ne] = hist.get(ne, 0) + 1
-            if ne > max_ne:
-                max_ne = ne
-            if ne > budget:
-                viol_subsets.append(tuple(shell.points[i] for i in idx))
-            if checked >= count:
-                break
+            out = _classify_drawn(shell.dim, shell.lam, S)
+        # stop at the subset that completes `count`, as a one-by-one loop would
+        cum = np.cumsum(out >= 0)
+        if cum[-1] >= count - checked:
+            stop = int(np.searchsorted(cum, count - checked)) + 1
+            S, out = S[:stop], out[:stop]
+        attempts += len(out)
+        sk_a += int((out == -1).sum())
+        sk_d += int((out == -2).sum())
+        ne = out[out >= 0]
+        if len(ne):
+            checked += len(ne)
+            _tally(hist, ne, 1)
+            max_ne = max(max_ne, int(ne.max()))
+        for row in S[out > budget].tolist():
+            viol_subsets.append(tuple(shell.points[i] for i in row))
     violations = _reference_reports(shell, viol_subsets)
     return LemmaSweepReport(
         **base, simplices_checked=checked, skipped_degenerate=sk_d, skipped_antipodal=sk_a,

@@ -74,6 +74,32 @@ def test_cli_objects_render_as_the_reference_writer(argv, tmp_path, monkeypatch)
         assert len(expanded["entries"]) == 1  # a single point has the single tau 0
 
 
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 3], [4, 5, 6]],
+        [[-7, 0], [2**70, -(2**70)]],
+        [[1, 2], [3]],  # ragged
+        [[1, 2], [3, 4, 5]],
+        [[1, True], [0, 1]],  # bools
+        [[False], [1]],
+        [[np.int64(1), 2], [3, 4]],  # numpy ints
+        [[np.int32(-5)], [np.uint8(7)]],
+        [[], []],  # empty inner lists
+        [[], [1]],
+        [[1], []],
+        [[1.0, 2], [3, 4]],
+        [[1, 2], (3, 4)],
+        [[[1]], [[2]]],
+        [[1, "2"], [3, 4]],
+    ],
+)
+def test_integer_rows_render_as_the_reference_writer(rows):
+    """Lists of equal-width exact-int lists take one row template; every other list does not."""
+    for obj in (rows, tuple(rows), {"points": rows}, [rows, rows]):
+        assert_parity(obj)
+
 scalars = st.one_of(
     st.none(),
     st.booleans(),

@@ -4,6 +4,8 @@ from math import comb, factorial
 import numpy as np
 import pytest
 from conftest import admissible_subset_count, full_scan_translates, sign_flip_degenerate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_spectra import (
     AntipodalError,
@@ -18,11 +20,14 @@ from torus_spectra import (
     validate_simplex,
     verify_lemma,
 )
+from torus_spectra._packing import unpack_keys
 from torus_spectra.lattice import SphereShell, negate
 from torus_spectra.lemma import (
     GROUP_TABLE_BYTES,
+    MEMBER_TABLE_BYTES,
+    _affine_rank_reaches,
     _canonical_sets,
-    _evaluate_sample,
+    _classify_drawn,
     _exhaustive,
     _group,
     _tables,
@@ -395,25 +400,166 @@ def test_sampled_requires_count():
     ids=["5-5", "5-5-m6", "4-12", "3-41-m4"],
 )
 def test_sampled_fast_path_agrees_with_reference(dim, lam, m):
-    """The packed-key outcome of each subset against the reference classification.
+    """The batch kernel's outcome of each drawn subset against the reference classification.
 
-    Antipodal first, then by affine rank, then the non-edge count from the
-    plain set-membership translate scan.
+    Antipodal (-1) first, then by affine rank (-2), then the non-edge count
+    from the plain set-membership translate scan.
     """
     shell = enumerate_shell(dim, lam)
-    tb = _tables(dim, lam)
     rng = np.random.default_rng(dim * 1000 + lam * 10 + m)
-    for _ in range(500):
-        idx = tuple(sorted(int(i) for i in rng.choice(len(shell), size=m, replace=False)))
+    S = np.sort([rng.choice(len(shell), size=m, replace=False) for _ in range(500)], axis=1)
+    expected = []
+    for idx in S.tolist():
         verts = tuple(shell.points[i] for i in idx)
         if any(negate(a) == b for a, b in combinations(verts, 2)):
-            expected = ("a", 0)
+            expected.append(-1)
         elif affine_rank(verts) < dim - 1:
-            expected = ("d", 0)
+            expected.append(-2)
         else:
             translates, edges = _translate_sets(shell, verts)
-            expected = ("ok", len(translates) - len(edges))
-        assert _evaluate_sample(tb, idx) == expected, verts
+            expected.append(len(translates) - len(edges))
+    assert -1 in expected  # antipodal draws are exercised on every shell
+    got = _classify_drawn(dim, lam, S).tolist()
+    bad = [(S[i].tolist(), g, e) for i, (g, e) in enumerate(zip(got, expected)) if g != e]
+    assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize(
+    "dim,lam", [(3, 41), (4, 12), (5, 5), (5, 14)], ids=["3-41", "4-12", "5-5", "5-14"]
+)
+def test_direct_membership_agrees_with_binary_search(dim, lam, monkeypatch):
+    """The direct-address table and the sorted-key fallback answer alike, and both are right.
+
+    Queries are uniform keys of the packing box and key(v) +- chord keys of
+    the shell; every one must lie in [0, radix^dim), where the table has an
+    entry (numpy would wrap a negative index silently). The oracle unpacks
+    each key and compares its squared norm with lambda. The sweeps' own
+    queries are recorded too and must lie in the box.
+    """
+    shell = enumerate_shell(dim, lam)
+    direct = _Tables(shell)
+    monkeypatch.setattr(lemma, "MEMBER_TABLE_BYTES", 0)
+    fallback = _Tables(shell)
+    bias, radix = direct.spec
+    assert direct.member is not None and len(direct.member) == radix**dim <= MEMBER_TABLE_BYTES
+    assert fallback.member is None
+    rng = np.random.default_rng(lam)
+    n = len(shell)
+    v, r, q = (rng.integers(n, size=20000) for _ in range(3))
+    chord = direct.keys[r] - direct.keys[q]
+    queries = np.concatenate([
+        rng.integers(radix**dim, size=20000), direct.keys[v] + chord, direct.keys[v] - chord
+    ])
+    assert queries.min() >= 0 and queries.max() < radix**dim
+    hit = direct.on_shell(queries)
+    assert (hit == fallback.on_shell(queries)).all()
+    rows = unpack_keys(queries, dim, bias, radix)
+    assert (hit == ((rows * rows).sum(1) == lam)).all()
+    assert hit[20000:].any() and not hit[20000:].all()
+
+    seen = []
+    on_shell = _Tables.on_shell
+
+    def recording(self, keys):
+        seen.append((int(keys.min(initial=0)), int(keys.max(initial=0))))
+        return on_shell(self, keys)
+
+    def sweeps():
+        lemma._tables.cache_clear()
+        reports = [verify_lemma(shell, mode="sampled", count=300, seed=1)]
+        if comb(n, dim) <= lemma.EXHAUSTIVE_GUARD:
+            reports.append(verify_lemma(shell, mode="exhaustive"))
+        return reports
+
+    try:
+        fallback_reports = sweeps()
+        monkeypatch.setattr(lemma, "MEMBER_TABLE_BYTES", MEMBER_TABLE_BYTES)
+        monkeypatch.setattr(_Tables, "on_shell", recording)
+        assert sweeps() == fallback_reports
+    finally:
+        lemma._tables.cache_clear()
+    assert seen and min(lo for lo, _ in seen) >= 0 and max(hi for _, hi in seen) < radix**dim
+
+
+@st.composite
+def _stacks_in_a_flat(draw, max_coord=3):
+    """(dim, m, stacks): one stack of m points p0 + sum_j c_j b_j over `span` directions
+    b_j, so with repeats, lines and planes, then up to 6 stacks of m points at random."""
+    dim = draw(st.integers(2, 5))
+    m = draw(st.integers(2, 6))
+    span = draw(st.integers(0, dim))
+    vec = st.lists(st.integers(-max_coord, max_coord), min_size=dim, max_size=dim)
+    origin, basis = draw(vec), draw(st.lists(vec, min_size=span, max_size=span))
+    coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=span, max_size=span),
+                           min_size=m, max_size=m))
+    flat = [[o + sum(c * b[k] for c, b in zip(cs, basis)) for k, o in enumerate(origin)]
+            for cs in coeffs]
+    return dim, m, [flat] + draw(st.lists(st.lists(vec, min_size=m, max_size=m), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stacks_in_a_flat())
+def test_batched_rank_agrees_with_affine_rank(case):
+    """Exact batched rank against `affine_rank` on small tuples, in flats of any dimension."""
+    dim, m, stacks = case
+    points = np.array(stacks, dtype=np.int64).reshape(len(stacks), m, dim)
+    tuples = [tuple(map(tuple, p)) for p in stacks]
+    for need in range(1, dim + 1):
+        expected = [affine_rank(t) >= need for t in tuples]
+        assert _affine_rank_reaches(points, need).tolist() == expected, need
+
+
+def test_batched_rank_past_the_hadamard_guard_stays_exact(monkeypatch):
+    """Entries that could overflow int64 send the batch to `affine_rank`; near the guard int64 runs.
+
+    The stacks lie on lines, planes and 3-flats by construction, so their
+    ranks are known without either implementation.
+    """
+    calls = []
+    reference = lemma.affine_rank
+
+    def counting(vertices):
+        calls.append(vertices)
+        return reference(vertices)
+
+    monkeypatch.setattr(lemma, "affine_rank", counting)
+    rng = np.random.default_rng(5)
+
+    def flats(scale):
+        stacks, ranks = [], []
+        for span in range(4):
+            for _ in range(10):
+                basis = rng.integers(-scale, scale + 1, size=(span, 4))
+                coeffs = rng.integers(-1, 2, size=(4, span))
+                stacks.append(coeffs @ basis if span else np.zeros((4, 4), dtype=np.int64))
+                ranks.append(reference(tuple(map(tuple, stacks[-1].tolist()))))
+        assert sorted(set(ranks)) == [0, 1, 2, 3]
+        return np.array(stacks, dtype=np.int64), ranks
+
+    # |entries| up to 10^9: 2 (2 e^2)^2 for need 3 is far past 2^63
+    big, ranks = flats(10**9 // 6)
+    assert _affine_rank_reaches(big, 3).tolist() == [r >= 3 for r in ranks]
+    assert len(calls) == len(big)
+    assert _affine_rank_reaches(big, 2).tolist() == [r >= 2 for r in ranks]  # int64: 2 e^2 fits
+    # |entries| below 30,000: 2 (2 e^2)^2 < 2^63, so int64 elimination alone decides
+    calls.clear()
+    near, ranks = flats(5000)
+    assert np.abs(near[:, 1:] - near[:, :1]).max() <= 30000
+    assert _affine_rank_reaches(near, 3).tolist() == [r >= 3 for r in ranks]
+    assert not calls
+
+
+@pytest.mark.parametrize("chunk", [1, 2**30], ids=["1", "2^30"])
+def test_chunk_budget_does_not_change_reports(chunk, monkeypatch):
+    """Chunks of one subset and one chunk for everything give the default chunks' reports."""
+    sweeps = [
+        (enumerate_shell(4, 12), dict(mode="exhaustive")),
+        (enumerate_shell(3, 9), dict(mode="exhaustive", extra_points=1)),
+        (enumerate_shell(5, 5), dict(mode="sampled", count=1000, extra_points=1)),
+    ]
+    expected = [verify_lemma(shell, **kwargs) for shell, kwargs in sweeps]
+    monkeypatch.setattr(lemma, "CHUNK_ELEMENTS", chunk)
+    assert [verify_lemma(shell, **kwargs) for shell, kwargs in sweeps] == expected
 
 
 def test_unpackable_shell_is_refused():
