@@ -15,10 +15,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import jsonfmt
-from .errors import ResourceLimitError, TorusSpectraError
+from .errors import TorusSpectraError
 from .extremizer import ExtremizerConfig, maximize, report_passes_bound
 from .lattice import enumerate_shell, shell_to_json
 from .lemma import sweep_to_json, verify_lemma
@@ -32,6 +30,7 @@ from .spectra import (
     require_exponent,
     spectrum_entries_json,
 )
+from .sweeps import sweep
 
 THREADS_ENV = "TORUS_SPECTRA_THREADS"
 
@@ -71,11 +70,6 @@ def _parse_random_mode(text: str) -> tuple[str, int | None]:
         except ValueError:
             raise TorusSpectraError(f"bad sparse size in {text!r}") from None
     return mode, None
-
-
-def _trial_seed(seed: int, lam: int, trial: int) -> int:
-    # Collision-free derivation of per-(lambda, trial) streams.
-    return int(np.random.SeedSequence([seed, lam, trial]).generate_state(1, np.uint64)[0])
 
 
 def cmd_shell(args) -> int:
@@ -164,53 +158,19 @@ def cmd_extremize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.lambda_min > args.lambda_max:
-        raise TorusSpectraError(
-            f"lambda-min {args.lambda_min} exceeds lambda-max {args.lambda_max}"
-        )
-    if args.random_trials < 1:
-        raise TorusSpectraError(f"random-trials must be >= 1, got {args.random_trials}")
-    header = "dim,lambda,shell_count,lp_value,bound,passed,max_nonedge_translates,budget"
-    lines = [header]
-    all_passed = True
-    any_violation = False
-    for lam in range(args.lambda_min, args.lambda_max + 1):
-        shell = enumerate_shell(args.dim, lam)
-        if len(shell) == 0:
-            continue
-        p = float(shell.dim)
-        lp_value = 0.0
-        for trial in range(args.random_trials):
-            coeffs = random_coeffs(shell, seed=_trial_seed(args.seed, lam, trial), mode="gaussian")
-            lp_value = max(lp_value, lp_norm(autocorrelation(coeffs), p))
-        bound, passed = bound_verdict(shell.dim, p, lp_value)
-        all_passed &= passed
-        if args.lemma_sample is not None:
-            lemma_report = verify_lemma(
-                shell, mode="sampled", count=args.lemma_sample, seed=args.seed,
-                threads=args.threads,
-            )
-        else:
-            try:
-                lemma_report = verify_lemma(shell, mode="exhaustive")
-            except ResourceLimitError:
-                lemma_report = None  # too many subsets; lemma column left blank
-        if lemma_report is not None and lemma_report.violations:
-            any_violation = True
-        lines.append(
-            ",".join(
-                [
-                    str(shell.dim),
-                    str(lam),
-                    str(len(shell)),
-                    jsonfmt.format_float(lp_value),
-                    "" if bound is None else jsonfmt.format_float(bound),
-                    "true" if passed else "false",
-                    "" if lemma_report is None else str(lemma_report.max_nonedge_count),
-                    str(2 ** (shell.dim - 1)),
-                ]
-            )
-        )
+    rows = sweep(args.dim, args.lambda_min, args.lambda_max, random_trials=args.random_trials,
+                 seed=args.seed, lemma_sample=args.lemma_sample, threads=args.threads)
+    lines = ["dim,lambda,shell_count,lp_value,bound,passed,max_nonedge_translates,budget"]
+    for row in rows:
+        bound = row.theorem.bound_value
+        lines.append(",".join([
+            str(row.dim), str(row.lam), str(row.shell_count),
+            jsonfmt.format_float(row.theorem.norm_value),
+            "" if bound is None else jsonfmt.format_float(bound),
+            "true" if row.theorem.passed else "false",
+            "" if row.lemma is None else str(row.lemma.max_nonedge_count),
+            str(row.budget),
+        ]))
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         try:
@@ -220,7 +180,8 @@ def cmd_sweep(args) -> int:
             raise TorusSpectraError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
-    return EXIT_OK if all_passed and not any_violation else EXIT_VIOLATION
+    passed = all(r.theorem.passed and (r.lemma is None or not r.lemma.violations) for r in rows)
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def build_parser() -> argparse.ArgumentParser:

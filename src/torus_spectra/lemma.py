@@ -358,13 +358,25 @@ def _classify(
     return out
 
 
-def _tally(hist: Counter, ne: np.ndarray, weight) -> None:
-    """Add each count in ne to the histogram with its weight (an array, or 1)."""
-    vals, inv = np.unique(ne, return_inverse=True)
+def _tally(hist: Counter, out: np.ndarray, weight) -> None:
+    """Add each kernel outcome in out to the tally with its weight (an array, or 1)."""
+    vals, inv = np.unique(out, return_inverse=True)
     sums = np.zeros(len(vals), dtype=np.int64)
     np.add.at(sums, inv, weight)
     for v, c in zip(vals.tolist(), sums.tolist()):
         hist[v] += c
+
+
+def _tally_fields(hist: Counter) -> dict:
+    """Report fields of a tally of kernel outcomes: -1 antipodal, -2 degenerate, else checked."""
+    counts = {k: v for k, v in sorted(hist.items()) if k >= 0}
+    return dict(
+        simplices_checked=sum(counts.values()),
+        skipped_degenerate=hist[-2],
+        skipped_antipodal=hist[-1],
+        max_nonedge_count=max(counts, default=0),
+        histogram=counts,
+    )
 
 
 def _classify_buffered(tb: _Tables, blocks, start: int):
@@ -492,8 +504,7 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
     dim, lam, n = shell.dim, shell.lam, len(shell)
     tb = _tables(dim, lam)
     H = _group(dim, lam, kind)
-    checked = degenerate = max_ne = 0
-    hist: Counter = Counter()
+    hist = Counter({-1: comb(n, m) - 2**m * comb(n // 2, m)})
     found = set()
 
     def blocks():
@@ -514,24 +525,11 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
                        np.tile(chords, k), weight[lo : lo + k])
 
     for S, weight, out in _classify_buffered(tb, blocks(), m - 1):
-        ok = out >= 0
-        degenerate += int(weight[~ok].sum())
-        if ok.any():
-            checked += int(weight[ok].sum())
-            _tally(hist, out[ok], weight[ok])
-            max_ne = max(max_ne, int(out.max()))
+        _tally(hist, out, weight)
         for row in S[out > 2 ** (dim - 1)]:
             found.update(map(tuple, np.sort(H[:, row], axis=1).tolist()))
-    return dict(
-        simplices_checked=checked,
-        skipped_degenerate=degenerate,
-        skipped_antipodal=comb(n, m) - 2**m * comb(n // 2, m),
-        max_nonedge_count=max_ne,
-        histogram=dict(sorted(hist.items())),
-        violations=_reference_reports(
-            shell, [tuple(shell.points[i] for i in S) for S in sorted(found)]
-        ),
-    )
+    violations = [tuple(shell.points[i] for i in S) for S in sorted(found)]
+    return dict(**_tally_fields(hist), violations=_reference_reports(shell, violations))
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +617,7 @@ def verify_lemma(
         )
     if n < m or (mode == "exhaustive" and 2 * m > n):
         # every m-subset, if any, holds one of the n/2 antipodal pairs
-        return LemmaSweepReport(
-            **base, simplices_checked=0, skipped_degenerate=0, skipped_antipodal=comb(n, m),
-            max_nonedge_count=0, histogram={}, violations=(),
-        )
+        return LemmaSweepReport(**base, **_tally_fields(Counter({-1: comb(n, m)})), violations=())
 
     if mode == "exhaustive":
         # B_n when its table fits, decided before it is built; its 2^n sign
@@ -633,8 +628,7 @@ def verify_lemma(
 
     rng = np.random.default_rng(seed)
     cap = SAMPLE_ATTEMPT_FACTOR * count
-    checked = sk_a = sk_d = attempts = 0
-    max_ne = 0
+    checked = attempts = 0
     hist: Counter = Counter()
     viol_subsets: list[tuple[Point, ...]] = []
     while checked < count and attempts < cap:
@@ -652,20 +646,13 @@ def verify_lemma(
             stop = int(np.searchsorted(cum, count - checked)) + 1
             S, out = S[:stop], out[:stop]
         attempts += len(out)
-        sk_a += int((out == -1).sum())
-        sk_d += int((out == -2).sum())
-        ne = out[out >= 0]
-        if len(ne):
-            checked += len(ne)
-            _tally(hist, ne, 1)
-            max_ne = max(max_ne, int(ne.max()))
+        checked += int((out >= 0).sum())
+        _tally(hist, out, 1)
         for row in S[out > budget].tolist():
             viol_subsets.append(tuple(shell.points[i] for i in row))
-    violations = _reference_reports(shell, viol_subsets)
     return LemmaSweepReport(
-        **base, simplices_checked=checked, skipped_degenerate=sk_d, skipped_antipodal=sk_a,
-        max_nonedge_count=max_ne, histogram=dict(sorted(hist.items())),
-        violations=violations, attempts=attempts,
+        **base, **_tally_fields(hist), violations=_reference_reports(shell, viol_subsets),
+        attempts=attempts,
     )
 
 

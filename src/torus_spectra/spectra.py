@@ -21,7 +21,6 @@ and cross-checks the spectrum against direct grid quadrature of |phi|^4.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
@@ -152,8 +151,9 @@ def random_coeffs(
 # Pair structure: difference-vector indexing shared by the spectrum, the
 # quadrature cross-checks and the extremizer. For a fixed ordered support
 # of s points it records, once, which of the s^2 ordered pairs lands on
-# which difference vector. Cached because optimization loops and random
-# trials reuse the same support thousands of times.
+# which difference vector. Only the last build is kept: consecutive requests
+# for one support (a sweep's random trials on one shell, the objective of an
+# ascent's winner) share it, and a new support releases it before building.
 
 # Byte budget for the arrays one PairStructure build holds, estimated from
 # the support size before any of them is allocated.
@@ -173,9 +173,6 @@ class PairStructure:
     """
 
     def __init__(self, dim: int, lam: int, supp: np.ndarray):
-        self.dim = dim
-        self.lam = lam
-        self.supp = supp
         s = len(supp)
         # diffs (dim per pair), keys and inv (one each) and bins (two), all 8 bytes
         need = 8 * s * s * (dim + 4)
@@ -202,10 +199,6 @@ class PairStructure:
         np.add(self.bins[0::2], 1, out=self.bins[1::2])
         self.size = s
         self.n_taus = len(taus)
-        self.nbytes = self.bins.nbytes + taus.nbytes
-        # position of tau = 0 (always present: diagonal pairs)
-        zpos = np.flatnonzero(~taus.any(axis=1))
-        self.zero_pos = int(zpos[0])
 
     def accumulate(self, a: np.ndarray) -> np.ndarray:
         """b_tau array for amplitude vector `a` aligned with the support."""
@@ -219,27 +212,16 @@ class PairStructure:
         return values.view(np.float64)[self.bins].view(np.complex128)
 
 
-# The cache evicts least recently used builds while the bytes they retain
-# (bins and taus) exceed PAIR_CACHE_BYTES; a build above it alone is not cached.
-PAIR_CACHE_BYTES = PAIR_INDEX_BYTES
-_PAIR_CACHE: OrderedDict[tuple, PairStructure] = OrderedDict()
-_pair_cache_nbytes = 0
+_last_pair: tuple | None = None  # (key, build) of the last pair_structure call
 
 
 def pair_structure(dim: int, lam: int, supp: np.ndarray) -> PairStructure:
-    global _pair_cache_nbytes
+    global _last_pair
     key = (dim, lam, supp.tobytes())
-    hit = _PAIR_CACHE.get(key)
-    if hit is not None:
-        _PAIR_CACHE.move_to_end(key)
-        return hit
-    ps = PairStructure(dim, lam, supp)
-    if ps.nbytes <= PAIR_CACHE_BYTES:
-        _PAIR_CACHE[key] = ps
-        _pair_cache_nbytes += ps.nbytes
-        while _pair_cache_nbytes > PAIR_CACHE_BYTES:
-            _pair_cache_nbytes -= _PAIR_CACHE.popitem(last=False)[1].nbytes
-    return ps
+    if _last_pair is None or _last_pair[0] != key:
+        _last_pair = None  # the old build goes before the new one allocates
+        _last_pair = (key, PairStructure(dim, lam, supp))
+    return _last_pair[1]
 
 
 def autocorrelation(coeffs: EigenfunctionCoeffs) -> AutocorrelationSpectrum:

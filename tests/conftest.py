@@ -19,7 +19,17 @@ from math import isqrt
 
 import numpy as np
 
-from torus_spectra import EigenfunctionCoeffs, SphereShell
+from torus_spectra import (
+    EigenfunctionCoeffs,
+    ResourceLimitError,
+    SphereShell,
+    autocorrelation,
+    bound_verdict,
+    enumerate_shell,
+    lp_norm,
+    random_coeffs,
+    verify_lemma,
+)
 from torus_spectra.cli import main
 from torus_spectra.jsonfmt import Records, format_float
 from torus_spectra.lattice import Point, sign_canonical
@@ -155,6 +165,50 @@ def run_cli(argv: list[str]) -> tuple[int, str, str]:
         except SystemExit as exc:  # argparse usage failures
             code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue(), err.getvalue()
+
+
+def reference_sweep(dim, lam_min, lam_max, random_trials=1, seed=0, lemma_sample=None):
+    """The per-lambda loop the `sweep` command ran inline: the oracle for `sweep()`.
+
+    Returns the CSV rows, (dim, lambda, shell_count, lp_value, bound, passed,
+    max non-edge count or None, budget) each, and the command's exit code.
+    """
+    rows, code = [], 0
+    for lam in range(lam_min, lam_max + 1):
+        shell = enumerate_shell(dim, lam)
+        if len(shell) == 0:
+            continue
+        p = float(dim)
+        lp_value = 0.0
+        for trial in range(random_trials):
+            stream = np.random.SeedSequence([seed, lam, trial]).generate_state(1, np.uint64)
+            coeffs = random_coeffs(shell, seed=int(stream[0]), mode="gaussian")
+            lp_value = max(lp_value, lp_norm(autocorrelation(coeffs), p))
+        bound, passed = bound_verdict(dim, p, lp_value)
+        if lemma_sample is not None:
+            report = verify_lemma(shell, mode="sampled", count=lemma_sample, seed=seed)
+        else:
+            try:
+                report = verify_lemma(shell, mode="exhaustive")
+            except ResourceLimitError:
+                report = None
+        if not passed or (report is not None and report.violations):
+            code = 1
+        max_ne = None if report is None else report.max_nonedge_count
+        rows.append((dim, lam, len(shell), lp_value, bound, passed, max_ne, 2 ** (dim - 1)))
+    return rows, code
+
+
+def reference_sweep_csv(rows) -> str:
+    """CSV text of `reference_sweep` rows, as the `sweep` command wrote it."""
+    lines = ["dim,lambda,shell_count,lp_value,bound,passed,max_nonedge_translates,budget"]
+    for dim, lam, count, lp_value, bound, passed, max_ne, budget in rows:
+        lines.append(",".join([
+            str(dim), str(lam), str(count), format_float(lp_value),
+            "" if bound is None else format_float(bound), "true" if passed else "false",
+            "" if max_ne is None else str(max_ne), str(budget),
+        ]))
+    return "\n".join(lines) + "\n"
 
 
 def reference_entries(taus: np.ndarray, values: np.ndarray) -> list[dict]:

@@ -1,5 +1,4 @@
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -270,11 +269,10 @@ def test_ascent_evaluation_counts(monkeypatch):
 
 @pytest.mark.parametrize("threads,expected", [(1, [16, 4]), (2, [4])])
 def test_maximize_builds_no_pair_structure_for_the_winner(monkeypatch, threads, expected):
-    # with the pair cache off every request builds one; the calling process
-    # builds the restarts' engine (unless workers run them) and the winner's
-    # objective over its support, and nothing for the winner's coefficients
-    monkeypatch.setattr(spectra, "_PAIR_CACHE", OrderedDict())
-    monkeypatch.setattr(spectra, "PAIR_CACHE_BYTES", 0)
+    # from an empty pair cache, the calling process builds the restarts' engine
+    # (unless workers run them) and the winner's objective over its support,
+    # and nothing for the winner's coefficients
+    monkeypatch.setattr(spectra, "_last_pair", None)
     built = []
     init = PairStructure.__init__
 

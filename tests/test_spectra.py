@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from collections import OrderedDict
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from torus_spectra import (
     EigenfunctionCoeffs,
     MembershipError,
     RangeError,
+    SphereShell,
     applicable_bound,
     autocorrelation,
     bound_constant,
@@ -36,7 +37,7 @@ from torus_spectra import (
     random_coeffs,
 )
 from torus_spectra import jsonfmt, spectra
-from torus_spectra._packing import pack_rows
+from torus_spectra._packing import pack_rows, pack_spec
 from torus_spectra.errors import ResourceLimitError
 from torus_spectra.spectra import PairStructure, pair_structure, spectrum_entries_json
 
@@ -149,6 +150,28 @@ def test_brute_force_equivalence(dim, lam):
             assert abs(entries[tau] - b) < 1e-12
 
 
+def test_pair_structure_without_packed_keys_matches_the_pair_sum():
+    # the 32 points +-4e_i of shell(16,16): differences reach 8 = 2*isqrt(16), and
+    # radix-17 keys in dim 16 do not fit (17^16 > 2^62), so the pair index
+    # deduplicates the difference rows with np.unique(axis=0)
+    assert pack_spec(16, 8) is None
+    pts = tuple(sorted(tuple(s * 4 * (k == i) for k in range(16))
+                       for i in range(16) for s in (1, -1)))
+    shell = SphereShell(16, 16, pts, frozenset(pts))
+    coeffs = random_raw_coeffs(shell, np.random.default_rng(16))
+    spectrum = autocorrelation(coeffs)
+    # tau = 0, the 32 taus +-8e_i and the 4 C(16, 2) = 480 taus +-4e_i +-4e_j
+    assert len(spectrum) == 513
+    assert spectrum.taus.tolist() == sorted(spectrum.taus.tolist())
+    entries = spectrum.entries
+    oracle = brute_spectrum(coeffs)
+    assert set(entries) == set(oracle)
+    for tau, b in oracle.items():
+        assert abs(entries[tau] - b) < 1e-12
+        assert abs(entries[tuple(-c for c in tau)] - b.conjugate()) < 1e-12
+    assert abs(entries[(0,) * 16] - 1.0) < 1e-12
+
+
 def test_entries_cover_exactly_the_support_difference_set():
     shell = enumerate_shell(2, 25)
     coeffs = normalized_coeffs(shell, {(5, 0): 1.0, (4, 3): 1.0j, (0, 5): -1.0})
@@ -230,41 +253,38 @@ def test_pair_guard_refuses_by_bytes_before_allocating(monkeypatch):
     assert peak < 10**5
 
 
-def test_pair_cache_evicts_least_recently_used_builds_by_bytes(monkeypatch):
-    monkeypatch.setattr(spectra, "_PAIR_CACHE", OrderedDict())
-    monkeypatch.setattr(spectra, "_pair_cache_nbytes", 0)
-    built = []
+def test_pair_cache_keeps_only_the_last_build(monkeypatch):
+    monkeypatch.setattr(spectra, "_last_pair", None)
+    built, refs = [], []
     init = PairStructure.__init__
 
     def counted(self, dim, lam, supp):
+        # every earlier build is gone before this one allocates
+        assert [ref() for ref in refs] == [None] * len(refs)
         built.append((dim, lam))
         init(self, dim, lam, supp)
+        refs.append(weakref.ref(self))
 
     monkeypatch.setattr(PairStructure, "__init__", counted)
-    a, b, c = (2, 5), (2, 25), (3, 2)  # 8, 12 and 12 points
+    a, b, c = (2, 5), (3, 2), (5, 5)  # 8, 12 and 112 points
     supps = {sh: np.array(enumerate_shell(*sh).points, dtype=np.int64) for sh in (a, b, c)}
-    size = {sh: PairStructure(*sh, supp).nbytes for sh, supp in supps.items()}
-    assert size[a] == 16 * 8**2 + 8 * 2 * 33  # bins and the 33 taus of shell(2,5)
-    # room for a and b together, and for c alone, but not for c beside a or b
-    monkeypatch.setattr(spectra, "PAIR_CACHE_BYTES", size[a] + size[b])
-    assert size[a] < size[b] < size[c] <= size[a] + size[b]
-    built.clear()
-
-    def request(*shells):
-        for sh in shells:
-            pair_structure(*sh, supps[sh])
-        return [key[:2] for key in spectra._PAIR_CACHE]
-
-    assert request(a, b, a) == [b, a]
-    assert request(c) == [c]  # b, the least recently used, goes first, then a
-    assert spectra._pair_cache_nbytes == size[c]
-    assert request(c, a) == [a]
-    assert built == [a, b, c, a]
-    # a build above the budget alone is returned uncached and evicts nothing
-    monkeypatch.setattr(spectra, "PAIR_CACHE_BYTES", size[b] - 1)
-    assert request(b, b) == [a]
-    assert built[-2:] == [b, b]
-    assert spectra._pair_cache_nbytes == size[a]
+    # the same support, even as another array, is a hit and builds nothing
+    first = pair_structure(*a, supps[a])
+    assert pair_structure(*a, supps[a].copy()) is first
+    assert built == [a]
+    del first
+    # a different support builds, after the old build was released
+    assert pair_structure(*b, supps[b]).size == 12
+    assert built == [a, b]
+    assert pair_structure(*a, supps[a]).size == 8
+    assert built == [a, b, a] and refs[1]() is None
+    # the byte guard still refuses before allocating (c would take about 0.9 MB),
+    # and the old build is released all the same
+    monkeypatch.setattr(spectra, "PAIR_INDEX_BYTES", 10**5)
+    peak, raised = peak_bytes_of(lambda: pair_structure(*c, supps[c]))
+    assert isinstance(raised, ResourceLimitError) and peak < 10**5
+    assert spectra._last_pair is None and refs[2]() is None
+    assert built == [a, b, a, c]
 
 
 def test_pack_rows_allocates_only_its_output():
