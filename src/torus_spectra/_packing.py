@@ -3,16 +3,30 @@
 Row (c_0, ..., c_{d-1}) with every |c_i| <= bias maps to
 sum_i (c_i + bias) * radix^(d-1-i), radix = 2*bias + 1. The map is
 injective and order-preserving (numeric key order == lexicographic row
-order), which lets membership tests and difference-vector deduplication
-run through sorted int64 arrays instead of tuple hashing. `pack_spec`
-returns None when the key would not fit in int64: `lemma` then refuses
-the sweep, and `spectra` deduplicates difference rows with
-`np.unique(axis=0)` instead.
+order), and every key lies in the box [0, radix^d), so a key is its own
+address in a table of radix^d cells. It is also affine: for rows x, y
+whose difference stays within the bias, key(x - y) = key(x) - key(y) +
+key(0), with key(0) = (radix^d - 1)/2 the centre of the box.
+
+`spectra` therefore packs a support once and forms the keys of all s^2
+difference vectors with one outer subtraction, never the difference
+rows. It deduplicates them by direct address when a bool mark and an
+int64 rank per cell fit TABLE_BYTES: the marked cells, in address order,
+are the sorted distinct keys, and each key reads its rank back from the
+table. Larger boxes sort the keys instead. `lemma` tests shell membership
+through one bool per cell under the same budget. `pack_spec` returns None
+when the key would not fit in int64: `lemma` then refuses the sweep, and
+`spectra` deduplicates difference rows with `np.unique(axis=0)` instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Byte budget of one direct-address table over a packing box: lemma's
+# membership table (1 byte per cell; shell(5,14) takes 2.5 MB) and the
+# pair index's mark and rank (9 bytes per cell; shell(6,6) takes 4.8 MB).
+TABLE_BYTES = 1 << 24
 
 
 def pack_spec(dim: int, max_abs: int) -> tuple[int, int] | None:

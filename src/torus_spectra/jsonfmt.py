@@ -20,6 +20,11 @@ list of ints per row; any other column raises TypeError. Each call builds
 one %-template for a row from the layout, so the text is byte-identical
 to rendering the same rows as a list of dicts of Python ints and floats,
 the ValueError for the first non-finite value included.
+
+Both row tables, records and lists of int rows, render with one format
+call: the row template is repeated once per row, brackets and separators
+included, and filled by a single % from the values flattened row by row,
+so no string or tuple is built per row.
 """
 
 from __future__ import annotations
@@ -76,8 +81,17 @@ class Records:
                 row, k = np.argwhere(bad)[0]
                 format_float(float(floats[k][row]))
         tpl = "{" + at_field + ("," + at_field).join(parts) + inner + "}"
-        rows = [tpl % row for row in zip(*values)]
-        return "[" + inner + ("," + inner).join(rows) + indent + "]"
+        flat = chain.from_iterable(zip(*values))
+        return _render_rows(tpl, len(self.columns[0]), flat, indent, step)
+
+
+def _render_rows(tpl: str, n: int, flat, indent: str, step: str) -> str:
+    """A JSON list of n rows of the %-template tpl, filled from `flat`, row after row."""
+    inner = indent + step
+    parts = [tpl] * n
+    parts[0] = "[" + inner + tpl
+    parts[-1] += indent + "]"
+    return ("," + inner).join(parts) % tuple(flat)
 
 
 def _int_row_template(rows: list, indent: str, step: str) -> str | None:
@@ -135,7 +149,7 @@ def dumps(obj, pretty: bool = True) -> str:
         if types == {int}:
             items = map(str, x)
         elif types == {list} and (row := _int_row_template(x, inner, step)):
-            items = [row % tuple(v) for v in x]
+            return _render_rows(row, len(x), chain.from_iterable(x), indent, step)
         else:
             items = [render(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + indent + "]"

@@ -24,7 +24,7 @@ keys, and one kernel that classifies a batch of subsets with array
 operations: antipodal by antipode indices, degenerate by fraction-free
 elimination in int64 (guarded by Hadamard's bound), then the anchor's
 chord keys filtered vertex by vertex through a membership test, a lookup
-in a bool table addressed by key where it fits MEMBER_TABLE_BYTES and a
+in a bool table addressed by key where it fits TABLE_BYTES and a
 binary search of the keys elsewhere. The anchor's candidate classes need
 no deduplication, because distinct shell points q give distinct classes
 +-(v_1 - q): q + q' = 2 v_1 forces q = q' = v_1 on a sphere. A sweep over a
@@ -57,7 +57,7 @@ from operator import sub
 
 import numpy as np
 
-from ._packing import pack_rows, pack_spec
+from ._packing import TABLE_BYTES, pack_rows, pack_spec
 from ._parallel import run_chunks
 from .errors import (
     AntipodalError,
@@ -74,9 +74,6 @@ SAMPLE_ATTEMPT_FACTOR = 50
 # B_6 on shell(6,1) (2.2 MB, 46,080 rows for 924 subsets) costs more to scan at
 # every prefix than its orbits save; B_5 on shell(5,2) takes 0.6 MB.
 GROUP_TABLE_BYTES = 1 << 20
-# Byte budget of a shell's direct-address membership table, one bool per key
-# of its packing box; shell(5,14) takes 2.5 MB, larger boxes binary-search.
-MEMBER_TABLE_BYTES = 1 << 24
 # (subset, chord) elements classified at once by the shared kernel; see _classify.
 CHUNK_ELEMENTS = 1 << 12
 
@@ -238,7 +235,7 @@ class _Tables:
     chord key c = key(r) - key(q) = L(r - q); |c| identifies the class
     +-(r - q), so chords and edges compare as plain integers. Every such
     key lies in [0, radix^dim), so it is its own address in `member`, one
-    bool per key of the box, when that fits MEMBER_TABLE_BYTES; larger boxes
+    bool per key of the box, when that fits TABLE_BYTES; larger boxes
     binary-search the sorted keys. Shells whose keys do not fit in int64 are
     refused.
     """
@@ -258,7 +255,7 @@ class _Tables:
         self.arr = np.array(self.pts, dtype=np.int64).reshape(self.n, shell.dim)
         self.keys = pack_rows(self.arr, *spec)  # ascending: points are in lexicographic order
         self.member = None
-        if spec[1] ** shell.dim <= MEMBER_TABLE_BYTES:
+        if spec[1] ** shell.dim <= TABLE_BYTES:
             self.member = np.zeros(spec[1] ** shell.dim, dtype=bool)
             self.member[self.keys] = True
 

@@ -27,7 +27,7 @@ from math import isqrt
 
 import numpy as np
 
-from ._packing import pack_rows, pack_spec, unpack_keys
+from ._packing import TABLE_BYTES, pack_rows, pack_spec, unpack_keys
 from .errors import (
     AliasingError,
     CoefficientFileError,
@@ -151,12 +151,15 @@ def random_coeffs(
 # Pair structure: difference-vector indexing shared by the spectrum, the
 # quadrature cross-checks and the extremizer. For a fixed ordered support
 # of s points it records, once, which of the s^2 ordered pairs lands on
-# which difference vector. Only the last build is kept: consecutive requests
-# for one support (a sweep's random trials on one shell, the objective of an
-# ascent's winner) share it, and a new support releases it before building.
+# which difference vector. The build forms the s^2 difference keys from
+# the s packed points (packing is affine, see _packing), never the s^2
+# difference rows, and ranks them by direct address or by sorting. Only
+# the last build is kept: consecutive requests for one support (a sweep's
+# random trials on one shell, the objective of an ascent's winner) share
+# it, and a new support releases it before building.
 
-# Byte budget for the arrays one PairStructure build holds, estimated from
-# the support size before any of them is allocated.
+# Byte budget for one PairStructure build, checked against an estimate from
+# the support size before anything is allocated.
 PAIR_INDEX_BYTES = 2**30
 
 
@@ -170,29 +173,54 @@ class PairStructure:
     a_i conj(a_j), read as floats, then sums both parts of every b_tau at
     once, each bin in pair order, so the result is the exact pair sum in a
     fixed deterministic order; `gather` reads the same bins back per pair.
+
+    The difference keys are key(xi_i) - key(xi_j) + key(0), one outer
+    subtraction of the packed points, and k is the rank of the pair's key
+    among the distinct keys. When a bool mark and an int64 rank per cell of
+    the packing box fit TABLE_BYTES, the marked cells in address order are
+    the sorted distinct keys and k is read from the rank table; otherwise
+    `np.unique` sorts the keys. Supports whose keys do not fit in int64
+    deduplicate the difference rows with `np.unique(axis=0)`.
     """
 
     def __init__(self, dim: int, lam: int, supp: np.ndarray):
         s = len(supp)
-        # diffs (dim per pair), keys and inv (one each) and bins (two), all 8 bytes
+        # Counts difference rows (dim per pair), keys, inv and bins (two), 8 bytes
+        # each. The packed build never forms the rows: it holds keys, inv and bins
+        # beside its box table (or np.unique's sort). The rows stay in the estimate
+        # on purpose: shrinking it would change which supports, and so which
+        # commands, the guard refuses with exit 2.
         need = 8 * s * s * (dim + 4)
         if need > PAIR_INDEX_BYTES:
             raise ResourceLimitError(
                 f"support of {s} points too large for dense pair indexing: about {need} bytes, "
                 f"above the {PAIR_INDEX_BYTES}-byte guard"
             )
-        diffs = (supp[:, None, :] - supp[None, :, :]).reshape(s * s, dim)
-        spec = pack_spec(dim, 2 * isqrt(lam) if lam else 0)
+        spec = pack_spec(dim, 2 * isqrt(lam))
         if spec is not None:
             bias, radix = spec
-            keys = pack_rows(diffs, bias, radix)
-            del diffs
-            uniq, inv = np.unique(keys, return_inverse=True)
+            points = pack_rows(supp, bias, radix)
+            box = radix**dim
+            keys = np.subtract.outer(points, points).reshape(-1)
+            keys += (box - 1) // 2  # key(0)
+            if 9 * box <= TABLE_BYTES:
+                mark = np.zeros(box, dtype=bool)
+                mark[keys] = True
+                uniq = np.flatnonzero(mark)
+                del mark
+                rank = np.empty(box, dtype=np.intp)
+                rank[uniq] = np.arange(len(uniq))
+                inv = rank[keys]
+                del rank
+            else:
+                uniq, inv = np.unique(keys, return_inverse=True)
             del keys
             taus = unpack_keys(uniq, dim, bias, radix)
         else:
-            taus, inv = np.unique(diffs, axis=0, return_inverse=True)
-            del diffs
+            taus, inv = np.unique(
+                (supp[:, None, :] - supp[None, :, :]).reshape(s * s, dim),
+                axis=0, return_inverse=True,
+            )
         self.taus = taus
         self.bins = np.empty(2 * s * s, dtype=np.intp)
         np.multiply(inv.reshape(-1), 2, out=self.bins[0::2])

@@ -20,11 +20,10 @@ from torus_spectra import (
     validate_simplex,
     verify_lemma,
 )
-from torus_spectra._packing import unpack_keys
+from torus_spectra._packing import TABLE_BYTES, unpack_keys
 from torus_spectra.lattice import SphereShell, negate
 from torus_spectra.lemma import (
     GROUP_TABLE_BYTES,
-    MEMBER_TABLE_BYTES,
     _affine_rank_reaches,
     _canonical_sets,
     _classify_drawn,
@@ -438,10 +437,10 @@ def test_direct_membership_agrees_with_binary_search(dim, lam, monkeypatch):
     """
     shell = enumerate_shell(dim, lam)
     direct = _Tables(shell)
-    monkeypatch.setattr(lemma, "MEMBER_TABLE_BYTES", 0)
+    monkeypatch.setattr(lemma, "TABLE_BYTES", 0)
     fallback = _Tables(shell)
     bias, radix = direct.spec
-    assert direct.member is not None and len(direct.member) == radix**dim <= MEMBER_TABLE_BYTES
+    assert direct.member is not None and len(direct.member) == radix**dim <= TABLE_BYTES
     assert fallback.member is None
     rng = np.random.default_rng(lam)
     n = len(shell)
@@ -473,7 +472,7 @@ def test_direct_membership_agrees_with_binary_search(dim, lam, monkeypatch):
 
     try:
         fallback_reports = sweeps()
-        monkeypatch.setattr(lemma, "MEMBER_TABLE_BYTES", MEMBER_TABLE_BYTES)
+        monkeypatch.setattr(lemma, "TABLE_BYTES", TABLE_BYTES)
         monkeypatch.setattr(_Tables, "on_shell", recording)
         assert sweeps() == fallback_reports
     finally:

@@ -222,6 +222,41 @@ def test_accumulate_and_gather_match_two_bincount_formula(dim, lam):
         assert np.array_equal(ps.gather(w), w[inv])
 
 
+def _pair_cases():
+    """(dim, lam, support) cases: whole shells, random subsets of shell(5,14), lambda = 0."""
+    cases = [(dim, lam, np.array(enumerate_shell(dim, lam).points, dtype=np.int64))
+             for dim, lam in [(2, 65), (5, 5), (6, 6)]]
+    pts = np.array(enumerate_shell(5, 14).points, dtype=np.int64)
+    rng = np.random.default_rng(14)
+    for k in (1, 2, 37, 300):
+        cases.append((5, 14, pts[np.sort(rng.choice(len(pts), size=k, replace=False))]))
+    cases += [(dim, 0, np.zeros((1, dim), np.int64)) for dim in (2, 6)]
+    return cases
+
+
+@pytest.mark.parametrize("branch", ["table", "sorted"])
+@pytest.mark.parametrize("case", range(9))
+def test_pair_index_matches_unique_over_difference_rows(case, branch, monkeypatch):
+    # oracle: np.unique over the difference rows themselves, in pair order i*s + j
+    dim, lam, supp = _pair_cases()[case]
+    s = len(supp)
+    taus, inv = np.unique((supp[:, None, :] - supp[None, :, :]).reshape(s * s, dim), axis=0,
+                          return_inverse=True)
+    bins = np.stack([2 * inv.reshape(-1), 2 * inv.reshape(-1) + 1], axis=1).reshape(-1)
+    _, radix = pack_spec(dim, 2 * math.isqrt(lam))
+    assert 9 * radix**dim <= spectra.TABLE_BYTES  # every case fits the table by default
+    if branch == "sorted":
+        monkeypatch.setattr(spectra, "TABLE_BYTES", 0)
+    marked = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: marked.append(len(a)) or flatnonzero(a))
+    ps = PairStructure(dim, lam, supp)
+    assert marked == ([radix**dim] if branch == "table" else [])
+    assert ps.taus.dtype == taus.dtype and np.array_equal(ps.taus, taus)
+    assert ps.bins.dtype == np.intp and np.array_equal(ps.bins, bins)
+    assert ps.size == s and ps.n_taus == len(taus)
+
+
 def peak_bytes_of(fn):
     """Peak bytes that fn allocates (numpy arrays included), and what it raised."""
     tracemalloc.start()
@@ -237,7 +272,10 @@ def peak_bytes_of(fn):
 
 
 def test_pair_guard_refuses_by_bytes_before_allocating(monkeypatch):
-    # shell(5,14): 800 points, about 46 MB of diffs, keys, inv and bins
+    # shell(5,14): 800 points; the guard's estimate, about 46 MB, still counts the
+    # difference rows, which the packed build never forms (it peaks at about 18 MB
+    # of keys, inv, bins and box tables). The estimate is kept on purpose: resizing
+    # it would change which supports, and so which commands, exit 2.
     supp = np.array(enumerate_shell(5, 14).points, dtype=np.int64)
     monkeypatch.setattr(spectra, "PAIR_INDEX_BYTES", 10**6)
     peak, raised = peak_bytes_of(lambda: PairStructure(5, 14, supp))
@@ -251,6 +289,38 @@ def test_pair_guard_refuses_by_bytes_before_allocating(monkeypatch):
     peak, raised = peak_bytes_of(lambda: PairStructure(5, 5, many))
     assert isinstance(raised, ResourceLimitError)
     assert peak < 10**5
+
+
+def test_pair_build_holds_no_difference_rows():
+    # keys, inv and the two bins per pair, 8 bytes each, beside the box's mark
+    # and rank tables: no (s^2, dim) temporary fits under this bound, and only
+    # taus and bins outlive the build
+    supp = np.array(enumerate_shell(6, 6).points, dtype=np.int64)
+    s = len(supp)
+    _, radix = pack_spec(6, 2 * math.isqrt(6))
+    tracemalloc.start()
+    try:
+        ps = PairStructure(6, 6, supp)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ps.size == s == 544
+    bound = 4 * 8 * s * s + 9 * radix**6 + 2**16
+    assert peak <= bound < peak + 8 * s * s * 6
+    assert held <= ps.taus.nbytes + ps.bins.nbytes + 2**16
+
+
+@pytest.mark.parametrize("pretty,multiple", [(True, 3.4), (False, 4.6)])
+def test_spectrum_rendering_peak_stays_within_a_multiple_of_its_output(pretty, multiple):
+    # one % over the repeated row template holds the output, the template, the
+    # flattened values and their floats: 3.0x (pretty) and 4.2x (compact) the
+    # output's length here, where one string and one tuple per row peak at
+    # 4.1x and 5.1x
+    records = spectrum_entries_json(autocorrelation(random_coeffs(enumerate_shell(6, 6), 1)))
+    out = []
+    peak, raised = peak_bytes_of(lambda: out.append(jsonfmt.dumps(records, pretty)))
+    assert raised is None and len(out[0]) > 2 * 10**6
+    assert peak <= multiple * len(out[0])
 
 
 def test_pair_cache_keeps_only_the_last_build(monkeypatch):
