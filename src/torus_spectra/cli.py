@@ -192,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=None,
-                        help=f"worker cap (default: ${THREADS_ENV} or CPU count); "
-                        "output is identical for any value")
+                        help=f"worker cap for sampled lemma sweeps, one pool per sweep "
+                        f"(default: ${THREADS_ENV} or CPU count); output is identical for any value")
     common.add_argument("--json", action="store_true",
                         help="compact single-line JSON instead of pretty-printed")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import run_chunks
 from .errors import ContractError
 from .lattice import Point, SphereShell, enumerate_shell
 from .spectra import (
@@ -116,18 +115,24 @@ class SpectrumEngine:
     """Vectorized objective/gradient evaluation on a fixed point support.
 
     Amplitude vectors are complex arrays aligned with `points` (by default
-    the whole shell, optionally a sub-support); evaluation works for any
-    vector, normalized or not, which also makes the engine the natural
-    target for finite-difference checks.
+    the whole shell, optionally a non-empty sub-support of distinct shell
+    points, kept sorted); evaluation works for any vector, normalized or
+    not, which also makes the engine the natural target for
+    finite-difference checks.
     """
 
     def __init__(self, shell: SphereShell, support: tuple[Point, ...] | None = None):
         if len(shell) == 0:
             raise ContractError(f"shell({shell.dim}, {shell.lam}) is empty")
-        pts = tuple(sorted(support)) if support is not None else shell.points
+        pts = shell.points if support is None else tuple(sorted(tuple(q) for q in support))
+        if not pts:
+            raise ContractError("the support is empty")
         for p in pts:
             if p not in shell.index:
                 raise ContractError(f"support point {p} is not on the shell")
+        for p, q in zip(pts, pts[1:]):
+            if p == q:
+                raise ContractError(f"support point {p} is repeated")
         self.shell = shell
         self.points = pts
         arr = np.array(pts, dtype=np.int64).reshape(len(pts), shell.dim)
@@ -235,22 +240,6 @@ def _ascend(engine: SpectrumEngine, a0: np.ndarray, p: float, cfg: ExtremizerCon
     return a, f, iterations, stop, history
 
 
-def _restart_chunk(shell: SphereShell, support, p: float, cfg: ExtremizerConfig,
-                   indices: list[int], keep_history: bool) -> list[dict]:
-    engine = SpectrumEngine(shell, support)
-    out = []
-    for r in indices:
-        rng = np.random.default_rng(cfg.seed + r)
-        n = len(engine.points)
-        a0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        a, f, iterations, stop, history = _ascend(engine, a0, p, cfg, keep_history)
-        out.append(
-            {"index": r, "a": a, "f": f, "iterations": iterations, "stop": stop,
-             "history": history}
-        )
-    return out
-
-
 def maximize(
     shell: SphereShell,
     p: float,
@@ -263,11 +252,13 @@ def maximize(
 
     Restart r draws a gaussian start with seed config.seed + r (restricted
     to `support` when given; off-support gradients vanish, so the support
-    is invariant under the ascent). The winner is selected by (value,
-    restart index), making the report deterministic for a fixed seed under
-    any execution order, including `threads` > 1. `shell` must be the whole
-    enumerated shell; a hand-built subset is refused (restrict the ascent
-    with `support` instead).
+    is invariant under the ascent). Every restart runs in the calling
+    process on one engine, and the winner is selected by (value, restart
+    index), so the report is deterministic for a fixed seed. `threads` caps
+    worker processes, and restarts use none: each worker would start its own
+    BLAS threads, which cost more than the workers save. `shell` must be the
+    whole enumerated shell; a hand-built subset is refused (restrict the
+    ascent with `support` instead).
     """
     if len(shell) == 0:
         raise ContractError(f"shell({shell.dim}, {shell.lam}) is empty")
@@ -279,39 +270,32 @@ def maximize(
             f"shell({shell.dim}, {shell.lam}); pass the enumerated shell and restrict with support="
         )
     cfg = config or ExtremizerConfig()
-    support_t = tuple(sorted(tuple(q) for q in support)) if support is not None else None
-    chunks = min(max(threads, 1), cfg.restarts)
-    slices = np.array_split(np.arange(cfg.restarts), chunks)
-    argses = [(shell, support_t, p, cfg, [int(i) for i in sl], keep_history) for sl in slices]
-    results = [r for part in run_chunks(_restart_chunk, argses, threads) for r in part]
-
+    engine = SpectrumEngine(shell, support)
+    points = engine.points
     best = None
-    for r in results:
-        if best is None or r["f"] > best["f"]:
-            best = r
-    a = best["a"]
+    runs = []
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed + r)
+        a0 = rng.standard_normal(len(points)) + 1j * rng.standard_normal(len(points))
+        a, f, iterations, stop, history = _ascend(engine, a0, p, cfg, keep_history)
+        if best is None or f > best[1]:
+            best = (a, f, iterations, stop)
+        if keep_history:
+            runs.append(AscentRun(index=r, value=f ** (1.0 / p), iterations=iterations,
+                                  stop=stop, history=tuple(history)))
+    del engine  # the last-build cache frees this build before the winner's is made
+    a, _, iterations, stop = best
     scale = 1.0 / math.sqrt(math.fsum((x.real * x.real + x.imag * x.imag) for x in a))
-    points = shell.points if support_t is None else support_t
     best_coeffs = EigenfunctionCoeffs(shell, {q: complex(x * scale) for q, x in zip(points, a)})
-    best_value = objective(best_coeffs, p)
-    runs = None
-    if keep_history:
-        runs = tuple(
-            AscentRun(
-                index=r["index"], value=r["f"] ** (1.0 / p), iterations=r["iterations"],
-                stop=r["stop"], history=tuple(r["history"]),
-            )
-            for r in results
-        )
     return ExtremalReport(
         best_coeffs=best_coeffs,
-        best_value=best_value,
+        best_value=objective(best_coeffs, p),
         bound_value=applicable_bound(shell.dim, p),
-        iterations_used=best["iterations"],
-        converged=best["stop"] == "tol",
+        iterations_used=iterations,
+        converged=stop == "tol",
         p=p,
         restarts=cfg.restarts,
-        runs=runs,
+        runs=tuple(runs) if keep_history else None,
     )
 
 

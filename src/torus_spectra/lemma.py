@@ -43,14 +43,17 @@ the lexicographically smallest sorted index tuple of each orbit), weighted
 by the orbit's size. Above a byte budget for B_n's index table it uses the
 2^n sign changes instead, with the same tallies. Each violation found
 stands for its whole orbit, and every member is re-derived through the
-reference membership path. Only sampled sweeps use worker processes.
+reference membership path. Only sampled sweeps use worker processes: one
+pool per sweep, opened around its batch loop, each batch split between
+the workers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 from math import comb, factorial, isqrt
 from operator import sub
@@ -58,7 +61,6 @@ from operator import sub
 import numpy as np
 
 from ._packing import TABLE_BYTES, pack_rows, pack_spec
-from ._parallel import run_chunks
 from .errors import (
     AntipodalError,
     ContractError,
@@ -249,8 +251,8 @@ class _Tables:
         self.dim = shell.dim
         self.pts = shell.points
         self.n = len(self.pts)
-        self.index = {p: i for i, p in enumerate(self.pts)}
-        self.neg = np.array([self.index[negate(p)] for p in self.pts])
+        # the points are sorted and closed under negation, which reverses the order
+        self.neg = np.arange(self.n)[::-1]
         self.spec = spec
         self.arr = np.array(self.pts, dtype=np.int64).reshape(self.n, shell.dim)
         self.keys = pack_rows(self.arr, *spec)  # ascending: points are in lexicographic order
@@ -580,12 +582,13 @@ def verify_lemma(
     tallied by reason, antipodal checked before degeneracy in both modes.
     Each exhaustive violation is expanded over its orbit and the union
     listed in index order. Only sampled mode uses `threads` worker
-    processes; the exhaustive sweep runs in the calling process. The result
-    is deterministic for a fixed seed and identical for any thread count;
-    violations, if any exist, are re-derived through the reference
-    membership path and preserved verbatim. `shell` must be the whole
-    enumerated shell: the sweep's tables come from enumerating (dim, lam),
-    so a hand-built subset is refused.
+    processes, one pool for all its batches; the exhaustive sweep runs in
+    the calling process. The result is deterministic for a fixed seed and
+    identical for any thread count; violations, if any exist, are
+    re-derived through the reference membership path and preserved
+    verbatim. `shell` must be the whole enumerated shell: the sweep's
+    tables come from enumerating (dim, lam), so a hand-built subset is
+    refused.
     """
     if extra_points < 0:
         raise ContractError(f"extra_points must be >= 0, got {extra_points}")
@@ -628,25 +631,31 @@ def verify_lemma(
     checked = attempts = 0
     hist: Counter = Counter()
     viol_subsets: list[tuple[Point, ...]] = []
-    while checked < count and attempts < cap:
-        want = min(cap - attempts, max(1024, count - checked + (count - checked) // 8))
-        S = np.sort([rng.choice(n, size=m, replace=False) for _ in range(want)], axis=1)
-        if threads > 1:
-            parts = [part for part in np.array_split(S, threads) if len(part)]
-            argses = [(shell.dim, shell.lam, part) for part in parts]
-            out = np.concatenate(run_chunks(_classify_drawn, argses, threads))
-        else:
-            out = _classify_drawn(shell.dim, shell.lam, S)
-        # stop at the subset that completes `count`, as a one-by-one loop would
-        cum = np.cumsum(out >= 0)
-        if cum[-1] >= count - checked:
-            stop = int(np.searchsorted(cum, count - checked)) + 1
-            S, out = S[:stop], out[:stop]
-        attempts += len(out)
-        checked += int((out >= 0).sum())
-        _tally(hist, out, 1)
-        for row in S[out > budget].tolist():
-            viol_subsets.append(tuple(shell.points[i] for i in row))
+    classify = partial(_classify_drawn, shell.dim, shell.lam)
+    pool = nullcontext()
+    if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=threads)  # one pool for every batch
+    with pool:
+        while checked < count and attempts < cap:
+            want = min(cap - attempts, max(1024, count - checked + (count - checked) // 8))
+            S = np.sort([rng.choice(n, size=m, replace=False) for _ in range(want)], axis=1)
+            if threads > 1:
+                parts = [part for part in np.array_split(S, threads) if len(part)]
+                out = np.concatenate(list(pool.map(classify, parts)))
+            else:
+                out = classify(S)
+            # stop at the subset that completes `count`, as a one-by-one loop would
+            cum = np.cumsum(out >= 0)
+            if cum[-1] >= count - checked:
+                stop = int(np.searchsorted(cum, count - checked)) + 1
+                S, out = S[:stop], out[:stop]
+            attempts += len(out)
+            checked += int((out >= 0).sum())
+            _tally(hist, out, 1)
+            for row in S[out > budget].tolist():
+                viol_subsets.append(tuple(shell.points[i] for i in row))
     return LemmaSweepReport(
         **base, **_tally_fields(hist), violations=_reference_reports(shell, viol_subsets),
         attempts=attempts,

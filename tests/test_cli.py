@@ -121,7 +121,7 @@ def test_exponent_outside_its_range_exits_2_before_any_work(command, p, monkeypa
         raise AssertionError("work started")
 
     monkeypatch.setattr(cli, "autocorrelation", no_work)
-    monkeypatch.setattr("torus_spectra.extremizer.run_chunks", no_work)
+    monkeypatch.setattr("torus_spectra.extremizer.SpectrumEngine", no_work)
     code, out, err = run_cli(command + [f"--p={p}"])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "finite p >=" in err

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -267,26 +269,58 @@ def test_ascent_evaluation_counts(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("threads,expected", [(1, [16, 4]), (2, [4])])
+@pytest.mark.parametrize("threads,expected", [(1, [16, 4]), (2, [16, 4])])
 def test_maximize_builds_no_pair_structure_for_the_winner(monkeypatch, threads, expected):
     # from an empty pair cache, the calling process builds the restarts' engine
-    # (unless workers run them) and the winner's objective over its support,
-    # and nothing for the winner's coefficients
+    # at any thread count, and the winner's objective over its support, and
+    # nothing for the winner's coefficients; the restarts' build is freed first
     monkeypatch.setattr(spectra, "_last_pair", None)
     built = []
     init = PairStructure.__init__
 
     def counted(self, dim, lam, supp):
-        built.append(len(supp))
+        assert all(ref() is None for _, ref in built), "an earlier build is still alive"
         init(self, dim, lam, supp)
+        built.append((len(supp), weakref.ref(self)))
 
     monkeypatch.setattr(PairStructure, "__init__", counted)
     report = maximize(enumerate_shell(2, 65), 4.0, ExtremizerConfig(restarts=2, max_iters=50),
                       threads=threads)
-    assert built == expected
+    assert [size for size, _ in built] == expected
     # every shell point carries an amplitude, but all except four underflow to 0
     assert tuple(report.best_coeffs.amplitudes) == enumerate_shell(2, 65).points
     assert len(report.best_coeffs.support) == 4
+
+
+def test_maximize_opens_no_pool(monkeypatch):
+    """Restarts run in the calling process whatever `threads` asks for."""
+    shell = enumerate_shell(5, 5)
+    cfg = ExtremizerConfig(restarts=3, max_iters=40, seed=2)
+    expected = maximize(shell, 5.0, cfg, keep_history=True)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("maximize opened a worker pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    report = maximize(shell, 5.0, cfg, keep_history=True, threads=4)
+    assert report == expected
+    assert [run.index for run in report.runs] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("support,message", [
+    (lambda pts: [pts[1], pts[0], pts[1]], r"support point \(-2, 0, -1, 0, 0\) is repeated"),
+    (lambda pts: [], "the support is empty"),
+], ids=["repeated", "empty"])
+def test_support_is_refused_before_any_work(monkeypatch, support, message):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a pair structure was built")
+
+    monkeypatch.setattr(PairStructure, "__init__", no_build)
+    shell = enumerate_shell(5, 5)
+    with pytest.raises(ContractError, match=message):
+        SpectrumEngine(shell, support(shell.points))
+    with pytest.raises(ContractError, match=message):
+        maximize(shell, 4.0, ExtremizerConfig(restarts=1), support=support(shell.points))
 
 
 def test_restarts_on_shell_2_65_reach_the_known_maximum():

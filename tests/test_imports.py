@@ -7,6 +7,8 @@ package `__init__`, listed in `__all__`.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,14 @@ def test_unused_import_is_reported(tmp_path):
         "from __future__ import annotations\nimport os\nfrom math import comb, isqrt\n\nisqrt(4)\n"
     )
     assert _unused_imports(module) == ["mod.py:2 os", "mod.py:3 comb"]
+
+
+def test_cli_import_loads_no_process_pool_machinery():
+    """Pools are imported where a sweep opens one, so importing the CLI stays light."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import torus_spectra.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -1,3 +1,4 @@
+import concurrent.futures
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
@@ -423,6 +424,12 @@ def test_sampled_fast_path_agrees_with_reference(dim, lam, m):
     assert not bad, bad[:5]
 
 
+@pytest.mark.parametrize("dim,lam", [(2, 65), (3, 41), (4, 12), (5, 5), (6, 1), (3, 0)])
+def test_antipode_map_reverses_the_point_order(dim, lam):
+    shell = enumerate_shell(dim, lam)
+    assert _Tables(shell).neg.tolist() == [shell.points.index(negate(p)) for p in shell.points]
+
+
 @pytest.mark.parametrize(
     "dim,lam", [(3, 41), (4, 12), (5, 5), (5, 14)], ids=["3-41", "4-12", "5-5", "5-14"]
 )
@@ -600,13 +607,40 @@ def test_threads_do_not_change_results():
 def test_exhaustive_sweeps_in_process(monkeypatch):
     """The exhaustive sweep opens no worker pool, whatever `threads` asks for."""
 
-    def no_pool(*args):
+    def no_pool(*args, **kwargs):
         raise AssertionError("exhaustive sweep opened a worker pool")
 
     shell = enumerate_shell(4, 4)
     expected = verify_lemma(shell, mode="exhaustive")
-    monkeypatch.setattr(lemma, "run_chunks", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert verify_lemma(shell, mode="exhaustive", threads=4) == expected
+
+
+def test_sampled_sweep_opens_one_pool_for_all_its_batches(monkeypatch):
+    shell = enumerate_shell(5, 5)
+    args = dict(mode="sampled", count=15000, seed=1, extra_points=1)
+    batches = []
+    classify = lemma._classify_drawn
+
+    def counted(dim, lam, S):
+        batches.append(len(S))
+        return classify(dim, lam, S)
+
+    monkeypatch.setattr(lemma, "_classify_drawn", counted)
+    expected = verify_lemma(shell, **args, threads=1)
+    assert (expected.attempts, len(batches)) == (17347, 2)
+    monkeypatch.undo()
+
+    opened = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    assert verify_lemma(shell, **args, threads=2) == expected
+    assert opened == [{"max_workers": 2}]
 
 
 def test_known_budget_excess_on_4_12_is_reported_and_sound():
