@@ -4,15 +4,14 @@ Subcommands: shell (enumerate), spectrum (autocorrelation + bound check),
 lemma (translate-budget sweeps), extremize (sphere-constrained ascent),
 sweep (multi-lambda CSV). Exit codes: 0 = all checks passed, 1 = a
 mathematical bound or budget violation was detected, 2 = usage or
-resource error. All output is deterministic for fixed seeds, including
-across --threads settings; floats carry 17 significant digits.
+resource error. Every command runs in one process (--threads changes nothing),
+and all output is deterministic for fixed seeds; floats carry 17 significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import jsonfmt
@@ -32,26 +31,9 @@ from .spectra import (
 )
 from .sweeps import sweep
 
-THREADS_ENV = "TORUS_SPECTRA_THREADS"
-
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get(THREADS_ENV)
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise TorusSpectraError(f"{THREADS_ENV}={env!r} is not an integer") from None
-        else:
-            value = os.cpu_count() or 1
-    if value < 1:
-        raise TorusSpectraError(f"thread count must be >= 1, got {value}")
-    return value
 
 
 def _emit(obj, args) -> None:
@@ -119,14 +101,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_lemma(args) -> int:
     shell = enumerate_shell(args.dim, args.lam)
-    report = verify_lemma(
-        shell,
-        mode=args.mode,
-        count=args.count if args.mode == "sampled" else None,
-        seed=args.seed,
-        extra_points=args.extra_points,
-        threads=args.threads,
-    )
+    report = verify_lemma(shell, mode=args.mode, count=args.count, seed=args.seed,
+                          extra_points=args.extra_points)
     _emit(sweep_to_json(report), args)
     return EXIT_OK if not report.violations else EXIT_VIOLATION
 
@@ -137,7 +113,7 @@ def cmd_extremize(args) -> int:
     cfg = ExtremizerConfig(
         restarts=args.restarts, max_iters=args.iters, seed=args.seed
     )
-    report = maximize(shell, p, cfg, threads=args.threads)
+    report = maximize(shell, p, cfg)
     passed = report_passes_bound(report)
     coeffs_obj = coeffs_to_json(report.best_coeffs)
     _emit(
@@ -159,7 +135,7 @@ def cmd_extremize(args) -> int:
 
 def cmd_sweep(args) -> int:
     rows = sweep(args.dim, args.lambda_min, args.lambda_max, random_trials=args.random_trials,
-                 seed=args.seed, lemma_sample=args.lemma_sample, threads=args.threads)
+                 seed=args.seed, lemma_sample=args.lemma_sample)
     lines = ["dim,lambda,shell_count,lp_value,bound,passed,max_nonedge_translates,budget"]
     for row in rows:
         bound = row.theorem.bound_value
@@ -191,9 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
         "eigenfunctions, translate-budget sweeps, and sphere-constrained extremization.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help=f"worker cap for sampled lemma sweeps, one pool per sweep "
-                        f"(default: ${THREADS_ENV} or CPU count); output is identical for any value")
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted (must be >= 1) and changes nothing: "
+                        "every command runs in one process")
     common.add_argument("--json", action="store_true",
                         help="compact single-line JSON instead of pretty-printed")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -257,7 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.threads = _resolve_threads(args.threads)
+        if args.threads < 1:
+            raise TorusSpectraError(f"thread count must be >= 1, got {args.threads}")
         return args.fn(args)
     except TorusSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -75,6 +75,8 @@ class ExtremizerConfig:
             raise ContractError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ContractError("tol must be positive")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -254,11 +256,10 @@ def maximize(
     to `support` when given; off-support gradients vanish, so the support
     is invariant under the ascent). Every restart runs in the calling
     process on one engine, and the winner is selected by (value, restart
-    index), so the report is deterministic for a fixed seed. `threads` caps
-    worker processes, and restarts use none: each worker would start its own
-    BLAS threads, which cost more than the workers save. `shell` must be the
-    whole enumerated shell; a hand-built subset is refused (restrict the
-    ascent with `support` instead).
+    index), so the report is deterministic for a fixed seed. `threads` is
+    accepted and changes nothing. `shell` must be the whole enumerated
+    shell; a hand-built subset is refused (restrict the ascent with
+    `support` instead).
     """
     if len(shell) == 0:
         raise ContractError(f"shell({shell.dim}, {shell.lam}) is empty")

@@ -43,17 +43,14 @@ the lexicographically smallest sorted index tuple of each orbit), weighted
 by the orbit's size. Above a byte budget for B_n's index table it uses the
 2^n sign changes instead, with the same tallies. Each violation found
 stands for its whole orbit, and every member is re-derived through the
-reference membership path. Only sampled sweeps use worker processes: one
-pool per sweep, opened around its batch loop, each batch split between
-the workers.
+reference membership path. Every sweep runs in the calling process.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, isqrt
 from operator import sub
@@ -532,21 +529,33 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Sampled sweeps. Subsets are drawn one at a time, each sorted, so a seed
-# always draws the same ones; each drawn batch is classified by the shared
-# kernel, in slices of CHUNK_ELEMENTS (subset, chord) elements whose
+# Sampled sweeps. Each batch of subsets is drawn at once by `_draw_subsets`,
+# so a seed always draws the same ones; each drawn batch is classified by the
+# shared kernel, in slices of CHUNK_ELEMENTS (subset, chord) elements whose
 # candidates are the anchor's N - 1 chord keys, one class each. There is no
 # slow fallback: a shell whose keys do not fit in int64 is refused when its
 # table is built.
 
 
-def _classify_drawn(dim: int, lam: int, S: np.ndarray) -> np.ndarray:
+def _draw_subsets(rng: np.random.Generator, n: int, m: int, size: int) -> np.ndarray:
+    """(size, m) uniform m-subsets of range(n), one sorted row each, with no rejection.
+
+    Floyd's algorithm (Bentley & Floyd, CACM 30(9), 1987) on every row at once:
+    column c draws t in [0, n - m + c] and takes n - m + c when t is in its row.
+    """
+    S = rng.integers(0, np.arange(n - m + 1, n + 1), size=(size, m))
+    for c in range(1, m):
+        S[(S[:, :c] == S[:, c, None]).any(1), c] = n - m + c
+    S.sort(axis=1)
+    return S
+
+
+def _classify_drawn(tb: _Tables, S: np.ndarray) -> np.ndarray:
     """Kernel outcomes of drawn subsets, each anchored at its first index.
 
     The anchor's N - 1 chord keys are filtered through the second vertex
     here, CHUNK_ELEMENTS at a time, and the survivors go to the kernel.
     """
-    tb = _tables(dim, lam)
 
     def blocks():
         step = max(1, CHUNK_ELEMENTS // tb.n)
@@ -577,14 +586,13 @@ def verify_lemma(
     sign changes when B_n's index table would exceed GROUP_TABLE_BYTES),
     weighted by the orbit's size; the C(N, m) - 2^m C(N/2, m) subsets
     holding an antipodal pair are counted in closed form. Sampled mode
-    draws seeded random subsets until `count` valid simplices have been
-    checked (or a 50x attempt cap is hit). Invalid subsets are skipped and
-    tallied by reason, antipodal checked before degeneracy in both modes.
-    Each exhaustive violation is expanded over its orbit and the union
-    listed in index order. Only sampled mode uses `threads` worker
-    processes, one pool for all its batches; the exhaustive sweep runs in
-    the calling process. The result is deterministic for a fixed seed and
-    identical for any thread count; violations, if any exist, are
+    draws uniform random subsets, seeded by `seed` >= 0, until `count`
+    valid simplices have been checked (or a 50x attempt cap is hit).
+    Invalid subsets are skipped and tallied by reason, antipodal checked
+    before degeneracy in both modes. Each exhaustive violation is expanded
+    over its orbit and the union listed in index order. Both modes run in
+    the calling process; `threads` is accepted and changes nothing. The
+    result is deterministic for a fixed seed; violations, if any exist, are
     re-derived through the reference membership path and preserved
     verbatim. `shell` must be the whole enumerated shell: the sweep's
     tables come from enumerating (dim, lam), so a hand-built subset is
@@ -596,6 +604,8 @@ def verify_lemma(
         raise ContractError(f"unknown mode {mode!r}; expected exhaustive or sampled")
     if mode == "sampled" and (count is None or count < 1):
         raise ContractError("sampled mode requires a positive count")
+    if mode == "sampled" and seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     m = shell.dim + extra_points
     budget = 2 ** (shell.dim - 1)
     base = dict(
@@ -630,32 +640,21 @@ def verify_lemma(
     cap = SAMPLE_ATTEMPT_FACTOR * count
     checked = attempts = 0
     hist: Counter = Counter()
-    viol_subsets: list[tuple[Point, ...]] = []
-    classify = partial(_classify_drawn, shell.dim, shell.lam)
-    pool = nullcontext()
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=threads)  # one pool for every batch
-    with pool:
-        while checked < count and attempts < cap:
-            want = min(cap - attempts, max(1024, count - checked + (count - checked) // 8))
-            S = np.sort([rng.choice(n, size=m, replace=False) for _ in range(want)], axis=1)
-            if threads > 1:
-                parts = [part for part in np.array_split(S, threads) if len(part)]
-                out = np.concatenate(list(pool.map(classify, parts)))
-            else:
-                out = classify(S)
-            # stop at the subset that completes `count`, as a one-by-one loop would
-            cum = np.cumsum(out >= 0)
-            if cum[-1] >= count - checked:
-                stop = int(np.searchsorted(cum, count - checked)) + 1
-                S, out = S[:stop], out[:stop]
-            attempts += len(out)
-            checked += int((out >= 0).sum())
-            _tally(hist, out, 1)
-            for row in S[out > budget].tolist():
-                viol_subsets.append(tuple(shell.points[i] for i in row))
+    viol: list[list[int]] = []
+    while checked < count and attempts < cap:
+        want = min(cap - attempts, max(1024, count - checked + (count - checked) // 8))
+        S = _draw_subsets(rng, n, m, want)
+        out = _classify_drawn(tables, S)
+        # stop at the subset that completes `count`, as a one-by-one loop would
+        cum = np.cumsum(out >= 0)
+        if cum[-1] >= count - checked:
+            stop = int(np.searchsorted(cum, count - checked)) + 1
+            S, out = S[:stop], out[:stop]
+        attempts += len(out)
+        checked += int((out >= 0).sum())
+        _tally(hist, out, 1)
+        viol += S[out > budget].tolist()
+    viol_subsets = [tuple(shell.points[i] for i in row) for row in viol]
     return LemmaSweepReport(
         **base, **_tally_fields(hist), violations=_reference_reports(shell, viol_subsets),
         attempts=attempts,

@@ -124,7 +124,8 @@ def random_coeffs(
     mode "uniform": every point gets the same real amplitude 1/sqrt(N).
     mode "gaussian": independent complex standard normals, then normalized.
     mode "sparse": k points chosen without replacement (default k=1), with
-    gaussian amplitudes on them, then normalized.
+    gaussian amplitudes on them, then normalized. The seed, unused by
+    "uniform", must be >= 0.
     """
     if len(shell) == 0:
         raise ContractError(f"shell({shell.dim}, {shell.lam}) is empty")
@@ -132,6 +133,8 @@ def random_coeffs(
     if mode == "uniform":
         amp = 1.0 / math.sqrt(n)
         return EigenfunctionCoeffs(shell, {p: complex(amp) for p in shell.points})
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if mode == "gaussian":
         chosen = list(range(n))

@@ -26,15 +26,16 @@ class SweepRow:
 
 
 def sweep(dim: int, lam_min: int, lam_max: int, random_trials: int = 1, seed: int = 0,
-          lemma_sample: int | None = None, threads: int = 1) -> list[SweepRow]:
+          lemma_sample: int | None = None) -> list[SweepRow]:
     """Rows for the non-empty shells(dim, lambda), lam_min <= lambda <= lam_max.
 
     Trial t on lambda checks gaussian coefficients seeded from
-    SeedSequence([seed, lambda, t]), one collision-free stream per (lambda, t).
-    The lemma sweep is sampled (`lemma_sample` valid simplices, `seed`,
-    `threads` workers) when a size is given, else exhaustive, and None when
-    the exhaustive guard refuses the shell. Identical for any thread count.
+    SeedSequence([seed, lambda, t]), seed >= 0, one collision-free stream per
+    (lambda, t). The lemma sweep is sampled (`lemma_sample` valid simplices,
+    `seed`) when a size is given, else exhaustive, and None when refused.
     """
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     if lam_min > lam_max:
         raise ContractError(f"lambda-min {lam_min} exceeds lambda-max {lam_max}")
     if random_trials < 1:
@@ -49,8 +50,7 @@ def sweep(dim: int, lam_min: int, lam_max: int, random_trials: int = 1, seed: in
         theorem = max((check_theorem(random_coeffs(shell, seed=int(s))) for s in seeds),
                       key=lambda report: report.norm_value)
         if lemma_sample is not None:
-            lemma = verify_lemma(shell, mode="sampled", count=lemma_sample, seed=seed,
-                                 threads=threads)
+            lemma = verify_lemma(shell, mode="sampled", count=lemma_sample, seed=seed)
         else:
             try:
                 lemma = verify_lemma(shell)

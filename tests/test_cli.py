@@ -164,7 +164,7 @@ def test_lemma_exhaustive_byte_identical_across_threads():
     assert code1 == code3 == 0
     assert out1 == out3
     assert json.loads(out1)["mode"] == "exhaustive"
-    # 960 violations, merged from two workers and expanded over their orbits
+    # 960 violations, expanded over their orbits
     argv = ["lemma", "--dim", "4", "--lambda", "12"]
     code1, out1, _ = run_cli(argv + ["--threads", "1"])
     code2, out2, _ = run_cli(argv + ["--threads", "2"])
@@ -279,13 +279,21 @@ def test_sweep_rejects_random_trials_below_one(trials):
     assert "random-trials" in err
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("TORUS_SPECTRA_THREADS", "2")
-    code, out, _ = run_cli(["shell", "--dim", "2", "--lambda", "25", "--count-only"])
-    assert code == 0 and out.strip() == "12"
-    monkeypatch.setenv("TORUS_SPECTRA_THREADS", "junk")
-    code, _, err = run_cli(["shell", "--dim", "2", "--lambda", "25", "--count-only"])
-    assert code == 2 and "TORUS_SPECTRA_THREADS" in err
+def test_threads_below_one_exits_2():
+    code, out, err = run_cli(["shell", "--dim", "2", "--lambda", "25", "--count-only",
+                              "--threads", "0"])
+    assert (code, out, err) == (2, "", "error: thread count must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--dim", "2", "--lambda", "25", "--random", "gaussian"],
+    ["lemma", "--dim", "2", "--lambda", "25", "--mode", "sampled", "--count", "10"],
+    ["extremize", "--dim", "2", "--lambda", "25", "--restarts", "1"],
+    ["sweep", "--dim", "2", "--lambda-min", "1", "--lambda-max", "5"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_2_with_one_error_line(argv):
+    code, out, err = run_cli(argv + ["--seed", "-1"])
+    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize(

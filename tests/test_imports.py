@@ -3,7 +3,9 @@
 No linter ships with the project, so this stdlib `ast` check keeps helpers
 that are deleted from leaving stale imports behind. A name counts as used
 when it is loaded anywhere in the module (annotations included) or, in a
-package `__init__`, listed in `__all__`.
+package `__init__`, listed in `__all__`. A second scan keeps every module
+free of `concurrent` and `multiprocessing` imports: every command runs in
+the calling process.
 """
 
 import ast
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "torus_spectra"
+POOL_PACKAGES = ("concurrent", "multiprocessing")
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -48,8 +51,36 @@ def test_unused_import_is_reported(tmp_path):
     assert _unused_imports(module) == ["mod.py:2 os", "mod.py:3 comb"]
 
 
+def _process_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return [f"{path.name}:{m}" for m in modules if m.split(".")[0] in POOL_PACKAGES]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_process_machinery(path):
+    """Every command runs in the calling process: no module imports a worker pool."""
+    assert _process_imports(path) == []
+
+
+def test_process_import_is_reported(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import concurrent.futures\nfrom multiprocessing import Pool\nimport os\n\n"
+        "def f():\n    from concurrent.futures import ProcessPoolExecutor\n"
+    )
+    assert _process_imports(module) == [
+        "mod.py:concurrent.futures", "mod.py:multiprocessing", "mod.py:concurrent.futures"
+    ]
+
+
 def test_cli_import_loads_no_process_pool_machinery():
-    """Pools are imported where a sweep opens one, so importing the CLI stays light."""
+    """Importing the CLI loads neither package, through numpy or any other dependency."""
     code = (
         f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import torus_spectra.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "

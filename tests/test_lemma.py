@@ -1,4 +1,5 @@
 import concurrent.futures
+from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
@@ -28,6 +29,7 @@ from torus_spectra.lemma import (
     _affine_rank_reaches,
     _canonical_sets,
     _classify_drawn,
+    _draw_subsets,
     _exhaustive,
     _group,
     _tables,
@@ -407,7 +409,7 @@ def test_sampled_fast_path_agrees_with_reference(dim, lam, m):
     """
     shell = enumerate_shell(dim, lam)
     rng = np.random.default_rng(dim * 1000 + lam * 10 + m)
-    S = np.sort([rng.choice(len(shell), size=m, replace=False) for _ in range(500)], axis=1)
+    S = _draw_subsets(rng, len(shell), m, 500)
     expected = []
     for idx in S.tolist():
         verts = tuple(shell.points[i] for i in idx)
@@ -419,9 +421,26 @@ def test_sampled_fast_path_agrees_with_reference(dim, lam, m):
             translates, edges = _translate_sets(shell, verts)
             expected.append(len(translates) - len(edges))
     assert -1 in expected  # antipodal draws are exercised on every shell
-    got = _classify_drawn(dim, lam, S).tolist()
+    got = _classify_drawn(_tables(dim, lam), S).tolist()
     bad = [(S[i].tolist(), g, e) for i, (g, e) in enumerate(zip(got, expected)) if g != e]
     assert not bad, bad[:5]
+
+
+def test_draw_is_uniform_over_every_subset():
+    """Every 3-subset of shell(2,5)'s 8 points is drawn, each about equally often.
+
+    With D draws and C(8,3) = 56 subsets, each count is binomial(D, 1/56);
+    every one must lie within 5 standard deviations of its mean D/56.
+    """
+    n, m, draws = len(enumerate_shell(2, 5)), 3, 56_000
+    S = _draw_subsets(np.random.default_rng(0), n, m, draws)
+    assert n == 8 and S.shape == (draws, m)
+    assert (np.diff(S, axis=1) > 0).all()  # sorted rows of distinct indices
+    counts = Counter(map(tuple, S.tolist()))
+    assert set(counts) == set(combinations(range(n), m))
+    mean = draws / comb(n, m)
+    sd = (mean * (1 - 1 / comb(n, m))) ** 0.5
+    assert all(abs(c - mean) <= 5 * sd for c in counts.values()), counts
 
 
 @pytest.mark.parametrize("dim,lam", [(2, 65), (3, 41), (4, 12), (5, 5), (6, 1), (3, 0)])
@@ -604,43 +623,33 @@ def test_threads_do_not_change_results():
     )
 
 
-def test_exhaustive_sweeps_in_process(monkeypatch):
-    """The exhaustive sweep opens no worker pool, whatever `threads` asks for."""
+@pytest.mark.parametrize("dim,lam,args,attempts,batches", [
+    (4, 4, dict(mode="exhaustive"), 0, []),
+    (5, 5, dict(mode="sampled", count=15000, seed=1, extra_points=1), 17251, [16875, 1024]),
+], ids=["exhaustive", "sampled"])
+def test_sweeps_run_in_process(monkeypatch, dim, lam, args, attempts, batches):
+    """Neither mode opens a worker pool, whatever `threads` asks for.
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("exhaustive sweep opened a worker pool")
-
-    shell = enumerate_shell(4, 4)
-    expected = verify_lemma(shell, mode="exhaustive")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert verify_lemma(shell, mode="exhaustive", threads=4) == expected
-
-
-def test_sampled_sweep_opens_one_pool_for_all_its_batches(monkeypatch):
-    shell = enumerate_shell(5, 5)
-    args = dict(mode="sampled", count=15000, seed=1, extra_points=1)
-    batches = []
+    A sampled sweep draws and classifies its subsets in batches, here two
+    for 15,000 checked simplices; the second stops at the attempt that
+    completes the count.
+    """
+    shell = enumerate_shell(dim, lam)
+    expected = verify_lemma(shell, **args, threads=1)
+    drawn = []
     classify = lemma._classify_drawn
 
-    def counted(dim, lam, S):
-        batches.append(len(S))
-        return classify(dim, lam, S)
+    def counted(tb, S):
+        drawn.append(len(S))
+        return classify(tb, S)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("lemma sweep opened a worker pool")
 
     monkeypatch.setattr(lemma, "_classify_drawn", counted)
-    expected = verify_lemma(shell, **args, threads=1)
-    assert (expected.attempts, len(batches)) == (17347, 2)
-    monkeypatch.undo()
-
-    opened = []
-
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    assert verify_lemma(shell, **args, threads=2) == expected
-    assert opened == [{"max_workers": 2}]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert verify_lemma(shell, **args, threads=4) == expected
+    assert (expected.attempts, drawn) == (attempts, batches)
 
 
 def test_known_budget_excess_on_4_12_is_reported_and_sound():
