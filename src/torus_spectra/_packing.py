@@ -14,25 +14,27 @@ rows. It deduplicates them by direct address when a bool mark and an
 int64 rank per cell fit TABLE_BYTES: the marked cells, in address order,
 are the sorted distinct keys, and each key reads its rank back from the
 table. Larger boxes sort the keys instead. `lemma` tests shell membership
-through one bool per cell under the same budget. `pack_spec` returns None
-when the key would not fit in int64: `lemma` then refuses the sweep, and
-`spectra` deduplicates difference rows with `np.unique(axis=0)` instead.
+through one bool per cell under the same budget, and sizes its group
+table by it. `pack_spec` is the one place that decides whether a key fits
+in int64, and refuses a box that does not with ResourceLimitError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Byte budget of one direct-address table over a packing box: lemma's
-# membership table (1 byte per cell; shell(5,14) takes 2.5 MB) and the
-# pair index's mark and rank (9 bytes per cell; shell(6,6) takes 4.8 MB).
+from .errors import ResourceLimitError
+
+# Byte budget of one table: lemma's membership table (1 byte per cell of the
+# packing box; shell(5,14) takes 2.5 MB) and B_n table (B_5 on shell(5,5): 1.7 MB),
+# and the pair index's mark and rank (9 bytes per cell; shell(6,6) takes 4.8 MB).
 TABLE_BYTES = 1 << 24
 
 
-def pack_spec(dim: int, max_abs: int) -> tuple[int, int] | None:
+def pack_spec(dim: int, max_abs: int) -> tuple[int, int]:
     radix = 2 * max_abs + 1
     if radix**dim >= 2**62:
-        return None
+        raise ResourceLimitError(f"radix-{radix} keys in dimension {dim} do not fit in int64")
     return max_abs, radix
 
 

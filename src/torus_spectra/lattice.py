@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import isqrt
 
-from .errors import ContractError, RangeError
+from .errors import ContractError, RangeError, ResourceLimitError
 
 Point = tuple[int, ...]
 
@@ -22,6 +22,9 @@ MAX_DIM = 16
 # Difference vectors xi - eta then satisfy |xi - eta|^2 <= 4*lambda <= 2^42,
 # comfortably inside signed 64-bit range for downstream array code.
 MAX_LAMBDA = 2**40
+# Points one enumeration may hold: 2^20 tuples take about 200 MB. The largest
+# shell in the tests and benchmarks has 9,328 points; shell(16,16) has 509 million.
+MAX_POINTS = 2**20
 
 
 def squared_norm(p: Point) -> int:
@@ -72,7 +75,8 @@ def enumerate_shell(dim: int, lam: int) -> SphereShell:
     lexicographically. An empty shell is a legal result (many values of
     lam are not sums of dim squares).
 
-    Raises RangeError unless 2 <= dim <= 16 and 0 <= lam <= 2**40.
+    Raises RangeError unless 2 <= dim <= 16 and 0 <= lam <= 2**40, and
+    ResourceLimitError as soon as more than MAX_POINTS points are found.
     """
     if not MIN_DIM <= dim <= MAX_DIM:
         raise RangeError(f"dim must be in [{MIN_DIM}, {MAX_DIM}], got {dim}")
@@ -94,6 +98,12 @@ def enumerate_shell(dim: int, lam: int) -> SphereShell:
                     points.append(tuple(coords))
                     coords[i] = r
                     points.append(tuple(coords))
+                if len(points) > MAX_POINTS:
+                    points.clear()  # descend's closure is a cycle: free the points now
+                    raise ResourceLimitError(
+                        f"shell({dim}, {lam}) has more than {MAX_POINTS} points, "
+                        "above the enumeration guard"
+                    )
             return
         r = isqrt(remaining)
         for v in range(-r, r + 1):

@@ -28,7 +28,7 @@ in a bool table addressed by key where it fits TABLE_BYTES and a
 binary search of the keys elsewhere. The anchor's candidate classes need
 no deduplication, because distinct shell points q give distinct classes
 +-(v_1 - q): q + q' = 2 v_1 forces q = q' = v_1 on a sphere. A sweep over a
-shell whose keys do not fit in int64 is refused with ResourceLimitError.
+shell whose keys do not fit in int64 is refused by `pack_spec`.
 Single simplices (`find_translates`) and the re-derivation of every
 violation use the reference path instead: plain set membership,
 independent of the keys.
@@ -40,10 +40,10 @@ in closed form (the shell is closed under negation) and visits one
 antipodal-free subset per B_n-orbit, B_n the signed permutations, which
 map the shell onto itself and preserve every tally (orderly generation:
 the lexicographically smallest sorted index tuple of each orbit), weighted
-by the orbit's size. Above a byte budget for B_n's index table it uses the
-2^n sign changes instead, with the same tallies. Each violation found
-stands for its whole orbit, and every member is re-derived through the
-reference membership path. Every sweep runs in the calling process.
+by the orbit's size. It uses the 2^n sign changes instead, with the same
+tallies, when B_n has more elements than there are (m-1)-subsets or a table
+above TABLE_BYTES. Each violation found stands for its orbit, every member
+re-derived through the reference path. Sweeps run in the calling process.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ from .lattice import Point, SphereShell, enumerate_shell, negate, sign_canonical
 
 EXHAUSTIVE_GUARD = 10**7
 SAMPLE_ATTEMPT_FACTOR = 50
-# Byte budget of the exhaustive sweep's group table, checked before it is built.
-# B_6 on shell(6,1) (2.2 MB, 46,080 rows for 924 subsets) costs more to scan at
-# every prefix than its orbits save; B_5 on shell(5,2) takes 0.6 MB.
-GROUP_TABLE_BYTES = 1 << 20
 # (subset, chord) elements classified at once by the shared kernel; see _classify.
 CHUNK_ELEMENTS = 1 << 12
 
@@ -235,16 +231,12 @@ class _Tables:
     +-(r - q), so chords and edges compare as plain integers. Every such
     key lies in [0, radix^dim), so it is its own address in `member`, one
     bool per key of the box, when that fits TABLE_BYTES; larger boxes
-    binary-search the sorted keys. Shells whose keys do not fit in int64 are
-    refused.
+    binary-search the sorted keys. `pack_spec` refuses shells whose keys do
+    not fit in int64.
     """
 
     def __init__(self, shell: SphereShell):
         spec = pack_spec(shell.dim, 3 * isqrt(shell.lam))
-        if spec is None:
-            raise ResourceLimitError(
-                f"shell({shell.dim}, {shell.lam}) coordinates do not pack into int64 keys"
-            )
         self.dim = shell.dim
         self.pts = shell.points
         self.n = len(self.pts)
@@ -582,21 +574,21 @@ def verify_lemma(
 
     Exhaustive mode accounts for every subset of size m = dim +
     extra_points (guarded at 10^7 combinations) but visits one canonical
-    antipodal-free subset per orbit of the signed permutations B_n (of its
-    sign changes when B_n's index table would exceed GROUP_TABLE_BYTES),
-    weighted by the orbit's size; the C(N, m) - 2^m C(N/2, m) subsets
-    holding an antipodal pair are counted in closed form. Sampled mode
-    draws uniform random subsets, seeded by `seed` >= 0, until `count`
-    valid simplices have been checked (or a 50x attempt cap is hit).
-    Invalid subsets are skipped and tallied by reason, antipodal checked
-    before degeneracy in both modes. Each exhaustive violation is expanded
-    over its orbit and the union listed in index order. Both modes run in
-    the calling process; `threads` is accepted and changes nothing. The
+    antipodal-free subset per orbit of the signed permutations B_n, weighted
+    by the orbit's size. It uses B_n's 2^n sign changes instead when B_n has
+    more elements than there are (m-1)-subsets, or when B_n's index table
+    (4 bytes per element and point) would exceed TABLE_BYTES. The
+    C(N, m) - 2^m C(N/2, m) subsets holding an antipodal pair are counted in
+    closed form. Sampled mode draws uniform random subsets, seeded by `seed`
+    >= 0, until `count` valid simplices have been checked (or a 50x attempt
+    cap is hit). Invalid subsets are skipped and tallied by reason, antipodal
+    checked before degeneracy in both modes. Each exhaustive violation is
+    expanded over its orbit and the union listed in index order. Both modes
+    run in the calling process; `threads` is accepted and changes nothing. The
     result is deterministic for a fixed seed; violations, if any exist, are
-    re-derived through the reference membership path and preserved
-    verbatim. `shell` must be the whole enumerated shell: the sweep's
-    tables come from enumerating (dim, lam), so a hand-built subset is
-    refused.
+    re-derived through the reference membership path and preserved verbatim.
+    `shell` must be the whole enumerated shell: the sweep's tables come from
+    enumerating (dim, lam), so a hand-built subset is refused.
     """
     if extra_points < 0:
         raise ContractError(f"extra_points must be >= 0, got {extra_points}")
@@ -630,10 +622,12 @@ def verify_lemma(
         return LemmaSweepReport(**base, **_tally_fields(Counter({-1: comb(n, m)})), violations=())
 
     if mode == "exhaustive":
-        # B_n when its table fits, decided before it is built; its 2^n sign
-        # changes always fit, since with 2m <= N the guard keeps 2^n N below 2^17
-        fits = 4 * 2**shell.dim * factorial(shell.dim) * n <= GROUP_TABLE_BYTES
-        group = "signed-permutations" if fits else "sign-changes"
+        # B_n when it has no more rows than there are (m-1)-subsets and its table
+        # fits, decided before it is built; its 2^n sign changes always fit, since
+        # with 2m <= N the guard keeps 2^n N below 2^17
+        order = 2**shell.dim * factorial(shell.dim)
+        full = order <= comb(n, m - 1) and 4 * order * n <= TABLE_BYTES
+        group = "signed-permutations" if full else "sign-changes"
         return LemmaSweepReport(**base, **_exhaustive(shell, m, group))
 
     rng = np.random.default_rng(seed)

@@ -182,14 +182,14 @@ class PairStructure:
     among the distinct keys. When a bool mark and an int64 rank per cell of
     the packing box fit TABLE_BYTES, the marked cells in address order are
     the sorted distinct keys and k is read from the rank table; otherwise
-    `np.unique` sorts the keys. Supports whose keys do not fit in int64
-    deduplicate the difference rows with `np.unique(axis=0)`.
+    `np.unique` sorts the keys. `pack_spec` refuses supports whose keys
+    do not fit in int64.
     """
 
     def __init__(self, dim: int, lam: int, supp: np.ndarray):
         s = len(supp)
         # Counts difference rows (dim per pair), keys, inv and bins (two), 8 bytes
-        # each. The packed build never forms the rows: it holds keys, inv and bins
+        # each. The build never forms the rows: it holds keys, inv and bins
         # beside its box table (or np.unique's sort). The rows stay in the estimate
         # on purpose: shrinking it would change which supports, and so which
         # commands, the guard refuses with exit 2.
@@ -199,31 +199,24 @@ class PairStructure:
                 f"support of {s} points too large for dense pair indexing: about {need} bytes, "
                 f"above the {PAIR_INDEX_BYTES}-byte guard"
             )
-        spec = pack_spec(dim, 2 * isqrt(lam))
-        if spec is not None:
-            bias, radix = spec
-            points = pack_rows(supp, bias, radix)
-            box = radix**dim
-            keys = np.subtract.outer(points, points).reshape(-1)
-            keys += (box - 1) // 2  # key(0)
-            if 9 * box <= TABLE_BYTES:
-                mark = np.zeros(box, dtype=bool)
-                mark[keys] = True
-                uniq = np.flatnonzero(mark)
-                del mark
-                rank = np.empty(box, dtype=np.intp)
-                rank[uniq] = np.arange(len(uniq))
-                inv = rank[keys]
-                del rank
-            else:
-                uniq, inv = np.unique(keys, return_inverse=True)
-            del keys
-            taus = unpack_keys(uniq, dim, bias, radix)
+        bias, radix = pack_spec(dim, 2 * isqrt(lam))
+        points = pack_rows(supp, bias, radix)
+        box = radix**dim
+        keys = np.subtract.outer(points, points).reshape(-1)
+        keys += (box - 1) // 2  # key(0)
+        if 9 * box <= TABLE_BYTES:
+            mark = np.zeros(box, dtype=bool)
+            mark[keys] = True
+            uniq = np.flatnonzero(mark)
+            del mark
+            rank = np.empty(box, dtype=np.intp)
+            rank[uniq] = np.arange(len(uniq))
+            inv = rank[keys]
+            del rank
         else:
-            taus, inv = np.unique(
-                (supp[:, None, :] - supp[None, :, :]).reshape(s * s, dim),
-                axis=0, return_inverse=True,
-            )
+            uniq, inv = np.unique(keys, return_inverse=True)
+        del keys
+        taus = unpack_keys(uniq, dim, bias, radix)
         self.taus = taus
         self.bins = np.empty(2 * s * s, dtype=np.intp)
         np.multiply(inv.reshape(-1), 2, out=self.bins[0::2])

@@ -5,7 +5,14 @@ import os
 import pytest
 from conftest import run_cli
 
-from torus_spectra import check_theorem, cli, enumerate_shell, random_coeffs
+from torus_spectra import (
+    check_theorem,
+    cli,
+    coeffs_to_json,
+    enumerate_shell,
+    lattice,
+    random_coeffs,
+)
 
 
 def test_shell_count_only():
@@ -109,6 +116,18 @@ def test_spectrum_sparse_mode_with_size():
         ["spectrum", "--dim", "2", "--lambda", "25", "--random", "bogus"]
     )
     assert code == 2 and "random mode" in err
+    for mode, message in [("uniform:3", "only sparse takes a size suffix, got 'uniform:3'"),
+                          ("sparse:x", "bad sparse size in 'sparse:x'")]:
+        code, out, err = run_cli(["spectrum", "--dim", "2", "--lambda", "25", "--random", mode])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_spectrum_refuses_a_file_for_another_shell(tmp_path):
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(coeffs_to_json(random_coeffs(enumerate_shell(2, 5), 0))))
+    code, out, err = run_cli(["spectrum", "--dim", "2", "--lambda", "25", "--coeffs", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: coefficient file is for shell(2, 5), not shell(2, 25)\n"
 
 
 @pytest.mark.parametrize("p", ["nan", "inf", "-inf", "0.5"])
@@ -277,6 +296,26 @@ def test_sweep_rejects_random_trials_below_one(trials):
                               "--random-trials", trials])
     assert (code, out) == (2, "")
     assert "random-trials" in err
+
+
+@pytest.mark.parametrize("command", ["shell", "lemma", "extremize"])
+def test_shell_above_the_point_cap_exits_2(command, monkeypatch):
+    # shell(16,16) has 509,145,568 points; the cap stops its enumeration at 101
+    monkeypatch.setattr(lattice, "MAX_POINTS", 100)
+    code, out, err = run_cli([command, "--dim", "16", "--lambda", "16"])
+    assert (code, out) == (2, "")
+    assert err == "error: shell(16, 16) has more than 100 points, above the enumeration guard\n"
+
+
+def test_unexpected_exception_exits_2_with_a_traceback(monkeypatch):
+    def broken(args):
+        raise RuntimeError("not a library error")
+
+    monkeypatch.setattr(cli, "cmd_shell", broken)
+    code, out, err = run_cli(["shell", "--dim", "2", "--lambda", "25"])
+    assert (code, out) == (2, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: not a library error\n")
 
 
 def test_threads_below_one_exits_2():

@@ -146,6 +146,8 @@ def test_maximize_deterministic_and_thread_invariant():
 def test_maximize_rejects_empty_shell_and_bad_p():
     with pytest.raises(ContractError):
         maximize(enumerate_shell(3, 7), 3.0)
+    with pytest.raises(ContractError, match=r"shell\(3, 7\) is empty"):
+        SpectrumEngine(enumerate_shell(3, 7))
     with pytest.raises(ContractError):
         maximize(enumerate_shell(2, 25), 1.5)
 
@@ -155,6 +157,8 @@ def test_config_validation():
         ExtremizerConfig(restarts=0)
     with pytest.raises(ContractError):
         ExtremizerConfig(tol=0.0)
+    with pytest.raises(ContractError, match="max_iters must be >= 1"):
+        ExtremizerConfig(max_iters=0)
 
 
 def test_maximize_refuses_partial_shell():
@@ -310,7 +314,9 @@ def test_maximize_opens_no_pool(monkeypatch):
 @pytest.mark.parametrize("support,message", [
     (lambda pts: [pts[1], pts[0], pts[1]], r"support point \(-2, 0, -1, 0, 0\) is repeated"),
     (lambda pts: [], "the support is empty"),
-], ids=["repeated", "empty"])
+    (lambda pts: [pts[0], (2, 1, 0, 0, 0), (9, 0, 0, 0, 0)],
+     r"support point \(9, 0, 0, 0, 0\) is not on the shell"),
+], ids=["repeated", "empty", "off-shell"])
 def test_support_is_refused_before_any_work(monkeypatch, support, message):
     def no_build(*args, **kwargs):
         raise AssertionError("a pair structure was built")

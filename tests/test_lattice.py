@@ -1,9 +1,19 @@
+import tracemalloc
+
 import pytest
 from conftest import box_points
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_spectra import ContractError, RangeError, contains, enumerate_shell, shell_to_json
+from torus_spectra import (
+    ContractError,
+    RangeError,
+    ResourceLimitError,
+    contains,
+    enumerate_shell,
+    lattice,
+    shell_to_json,
+)
 from torus_spectra.lattice import negate, sign_canonical, squared_norm
 
 
@@ -63,6 +73,26 @@ def test_range_errors():
         enumerate_shell(2, -1)
     with pytest.raises(RangeError):
         enumerate_shell(2, 2**40 + 1)
+
+
+def test_point_cap_refuses_as_soon_as_it_is_passed(monkeypatch):
+    monkeypatch.setattr(lattice, "MAX_POINTS", 12)
+    assert len(enumerate_shell(2, 25)) == 12  # at the cap
+    monkeypatch.setattr(lattice, "MAX_POINTS", 11)
+    with pytest.raises(ResourceLimitError, match=r"shell\(2, 25\) has more than 11 points"):
+        enumerate_shell(2, 25)
+    # shell(16,16) has 509,145,568 points: only an early stop returns at all, and
+    # the refusal frees the points it had found
+    monkeypatch.setattr(lattice, "MAX_POINTS", 30000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="more than 30000 points"):
+            enumerate_shell(16, 16)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # what stays is at most the interpreter's free list of 2,000 tuples per length
+    assert peak > 5 * 10**6 and current < peak // 4
 
 
 def test_contains_and_dimension_mismatch():

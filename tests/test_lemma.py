@@ -25,7 +25,6 @@ from torus_spectra import (
 from torus_spectra._packing import TABLE_BYTES, unpack_keys
 from torus_spectra.lattice import SphereShell, negate
 from torus_spectra.lemma import (
-    GROUP_TABLE_BYTES,
     _affine_rank_reaches,
     _canonical_sets,
     _classify_drawn,
@@ -305,8 +304,10 @@ def test_pruned_generation_counts_antipodal_free_subsets(dim, lam):
         (3, 9, 1, ("signed-permutations", "sign-changes", "trivial")),
         # the trivial group visits all C(40,4) prefixes of shell(5,2): about 25 s
         (5, 2, 0, ("signed-permutations", "sign-changes")),
+        # B_6 has 46,080 elements for C(12,5) = 792 prefixes of shell(6,1)
+        (6, 1, 0, ("signed-permutations", "sign-changes", "trivial")),
     ],
-    ids=["4-4", "3-9-extra1", "5-2"],
+    ids=["4-4", "3-9-extra1", "5-2", "6-1"],
 )
 def test_group_choice_does_not_change_reports(dim, lam, extra, kinds):
     """Any subgroup of B_n gives exact tallies: the orbit weights make up the difference."""
@@ -315,26 +316,36 @@ def test_group_choice_does_not_change_reports(dim, lam, extra, kinds):
     assert all(report == reports[0] for report in reports[1:])
 
 
-def test_group_table_budget_falls_back_to_sign_changes(monkeypatch):
-    """B_n's table is built only when it fits GROUP_TABLE_BYTES, else its sign changes are.
+def test_group_choice_follows_prefix_count_and_table_budget(monkeypatch):
+    """B_n when 2^n n! <= C(N, m - 1) and its table fits TABLE_BYTES, else its sign changes.
 
-    B_8 on shell(8,1) would take 2^8 * 8! * 16 int32 = 660 MB.
+    Shell(6,1)'s B_6 table (2.2 MB) fits, but its 46,080 elements outnumber the
+    C(12,5) = 792 prefixes; B_8 on shell(8,1) would also take 2^8 * 8! * 16
+    int32 = 660 MB.
     """
     built = []
 
     def recording_group(dim, lam, kind):
-        built.append((dim, kind))
+        built.append((dim, lam, kind))
         return _group(dim, lam, kind)
 
     monkeypatch.setattr(lemma, "_group", recording_group)
-    verify_lemma(enumerate_shell(5, 2), mode="exhaustive")
+    for dim, lam in [(4, 12), (5, 2), (6, 1)]:
+        verify_lemma(enumerate_shell(dim, lam), mode="exhaustive")
+    assert 4 * 2**6 * factorial(6) * 12 <= TABLE_BYTES
+    assert 2**6 * factorial(6) > comb(12, 5)
     shell = enumerate_shell(8, 1)
-    assert 4 * 2**8 * factorial(8) * len(shell) > GROUP_TABLE_BYTES
     report = verify_lemma(shell, mode="exhaustive")
-    assert set(built) == {(5, "signed-permutations"), (8, "sign-changes")}
+    assert built == [(4, 12, "signed-permutations"), (5, 2, "signed-permutations"),
+                     (6, 1, "sign-changes"), (8, 1, "sign-changes")]
     assert report.simplices_checked == 256  # one point of each of the 8 antipodal pairs
     assert report.skipped_antipodal == comb(16, 8) - 256 == 12614
     assert report.skipped_degenerate == 0
+    # B_5's table on shell(5,2) takes 4 * 3840 * 40 bytes = 0.6 MB
+    monkeypatch.setattr(lemma, "TABLE_BYTES", 4 * 3840 * 40 - 1)
+    built.clear()
+    verify_lemma(enumerate_shell(5, 2), mode="exhaustive")
+    assert built == [(5, 2, "sign-changes")]
 
 
 def test_more_vertices_than_antipodal_pairs():
@@ -394,6 +405,8 @@ def test_sampled_requires_count():
         verify_lemma(enumerate_shell(5, 5), mode="sampled")
     with pytest.raises(ContractError):
         verify_lemma(enumerate_shell(5, 5), mode="bogus")
+    with pytest.raises(ContractError, match="extra_points must be >= 0"):
+        verify_lemma(enumerate_shell(5, 5), extra_points=-1)
 
 
 @pytest.mark.parametrize(

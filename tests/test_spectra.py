@@ -90,6 +90,11 @@ def test_random_coeffs_rejects_empty_shell():
         random_coeffs(enumerate_shell(2, 3), seed=0)
 
 
+def test_random_coeffs_rejects_unknown_mode():
+    with pytest.raises(ContractError, match="unknown mode 'bogus'"):
+        random_coeffs(enumerate_shell(2, 25), seed=0, mode="bogus")
+
+
 def test_coeffs_validation():
     shell = enumerate_shell(2, 25)
     with pytest.raises(MembershipError):
@@ -150,26 +155,19 @@ def test_brute_force_equivalence(dim, lam):
             assert abs(entries[tau] - b) < 1e-12
 
 
-def test_pair_structure_without_packed_keys_matches_the_pair_sum():
+def test_pair_structure_refuses_keys_beyond_int64():
     # the 32 points +-4e_i of shell(16,16): differences reach 8 = 2*isqrt(16), and
-    # radix-17 keys in dim 16 do not fit (17^16 > 2^62), so the pair index
-    # deduplicates the difference rows with np.unique(axis=0)
-    assert pack_spec(16, 8) is None
+    # radix-17 keys in dim 16 do not fit (17^16 > 2^62), so the pair index is
+    # refused before it allocates anything of the 32^2 pairs
+    with pytest.raises(ResourceLimitError, match="do not fit in int64"):
+        pack_spec(16, 8)
     pts = tuple(sorted(tuple(s * 4 * (k == i) for k in range(16))
                        for i in range(16) for s in (1, -1)))
     shell = SphereShell(16, 16, pts, frozenset(pts))
     coeffs = random_raw_coeffs(shell, np.random.default_rng(16))
-    spectrum = autocorrelation(coeffs)
-    # tau = 0, the 32 taus +-8e_i and the 4 C(16, 2) = 480 taus +-4e_i +-4e_j
-    assert len(spectrum) == 513
-    assert spectrum.taus.tolist() == sorted(spectrum.taus.tolist())
-    entries = spectrum.entries
-    oracle = brute_spectrum(coeffs)
-    assert set(entries) == set(oracle)
-    for tau, b in oracle.items():
-        assert abs(entries[tau] - b) < 1e-12
-        assert abs(entries[tuple(-c for c in tau)] - b.conjugate()) < 1e-12
-    assert abs(entries[(0,) * 16] - 1.0) < 1e-12
+    peak, raised = peak_bytes_of(lambda: autocorrelation(coeffs))
+    assert isinstance(raised, ResourceLimitError) and "int64" in str(raised)
+    assert peak < 8 * 32 * 32 * 16 // 4  # a quarter of the 131 KB of (s^2, dim) difference rows
 
 
 def test_entries_cover_exactly_the_support_difference_set():
@@ -572,6 +570,12 @@ def test_parseval_refuses_aliasing_grid():
         parseval_check(coeffs, min_alias_free_grid(25) - 1)
     with pytest.raises(ContractError):
         parseval_check(random_coeffs(enumerate_shell(4, 4), seed=0), 16)
+    # 4 * 5 = 20 is no square: ceil(2 sqrt(5)) = 5, so M must exceed 10
+    assert min_alias_free_grid(5) == 11
+    coeffs = random_coeffs(enumerate_shell(2, 5), seed=0, mode="gaussian")
+    with pytest.raises(AliasingError, match="need M >= 11"):
+        parseval_check(coeffs, 10)
+    assert parseval_check(coeffs, 11).rel_err < 1e-12
 
 
 # --------------------------------------------------------------------------
