@@ -42,7 +42,10 @@ map the shell onto itself and preserve every tally (orderly generation:
 the lexicographically smallest sorted index tuple of each orbit), weighted
 by the orbit's size. It uses the 2^n sign changes instead, with the same
 tallies, when B_n has more elements than there are (m-1)-subsets or a table
-above TABLE_BYTES. Each violation found stands for its orbit, every member
+above TABLE_BYTES. The canonical subsets are generated a level of prefixes
+at a time, each level tested in chunks by array operations over (prefix,
+group element) pairs, so the cost is a few numpy calls per chunk rather
+than per prefix. Each violation found stands for its orbit, every member
 re-derived through the reference path. Sweeps run in the calling process.
 """
 
@@ -51,7 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import comb, factorial, isqrt
 from operator import sub
 
@@ -65,11 +68,13 @@ from .errors import (
     MembershipError,
     ResourceLimitError,
 )
-from .lattice import Point, SphereShell, enumerate_shell, negate, sign_canonical
+from .lattice import Point, SphereShell, enumerate_shell, negate
 
 EXHAUSTIVE_GUARD = 10**7
 SAMPLE_ATTEMPT_FACTOR = 50
-# (subset, chord) elements classified at once by the shared kernel; see _classify.
+# Elements handled at once: (subset, chord) pairs classified by the shared
+# kernel (see _classify), (prefix, group element) pairs tested for canonical
+# children (see _canonical_sets).
 CHUNK_ELEMENTS = 1 << 12
 
 
@@ -178,17 +183,25 @@ def _translate_sets(
 
     A class t is admissible at v exactly when t = +-(v - q) for some shell
     point q != v, so the admissible classes are the intersection over the
-    vertices of their class sets {sign_canonical(v - q)}, built with plain
-    tuple arithmetic; `classes` keeps each vertex's set across calls. Used
-    for single simplices and to re-derive sweep findings independently of
-    the packed-key fast path.
+    vertices of their class sets {sign_canonical(v - q)}, each built from
+    the rows v - q by one array canonicalization (rows whose first nonzero
+    coordinate is negative are negated) and kept as a set of plain tuples;
+    `classes` keeps each vertex's set across calls. The edge classes are the
+    chords a - b of two vertices a > b, in lexicographic order, which makes
+    a - b its own canonical representative. Used for single simplices and
+    to re-derive sweep findings independently of the packed-key fast path.
     """
     classes = {} if classes is None else classes
-    for v in verts:
-        if v not in classes:
-            classes[v] = {sign_canonical(_diff(v, q)) for q in shell.points if q != v}
+    missing = [v for v in verts if v not in classes]
+    if missing:
+        pts = np.array(shell.points, dtype=np.int64).reshape(len(shell.points), shell.dim)
+        for v in missing:
+            rows = np.array(v, dtype=np.int64) - pts
+            lead = rows[np.arange(len(rows)), (rows != 0).argmax(1)]  # 0 only for q = v
+            rows[lead < 0] *= -1
+            classes[v] = set(map(tuple, rows[lead != 0].tolist()))
     translates = tuple(sorted(set.intersection(*(classes[v] for v in verts))))
-    edges = {sign_canonical(_diff(a, b)) for a, b in combinations(verts, 2)}
+    edges = {_diff(a, b) for a, b in combinations(sorted(verts, reverse=True), 2)}
     edge_translates = tuple(t for t in translates if t in edges)
     return translates, edge_translates
 
@@ -258,20 +271,19 @@ class _Tables:
         pos[pos == self.n] = 0
         return self.keys[pos] == keys
 
-    def admissible(self, idx, chords: np.ndarray | None = None) -> np.ndarray:
-        """Chord keys admissible for every point of idx.
+    def admissible(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Anchor chords of each row S[i] admissible at the rest of it, as flat (i, chord key).
 
-        By default the chords key(r) - key(q), r = idx[0], q != r; given
-        `chords`, those of them admissible at idx.
+        The chords of S[i] are key(S[i, 0]) - key(q), q != S[i, 0], one per
+        class; a row's kept chords come in the order of q.
         """
-        if chords is None:
-            chords, idx = np.delete(self.keys[idx[0]] - self.keys, idx[0]), idx[1:]
-        for i in idx:
-            if len(chords) == 0:
-                break
-            k = self.keys[i]
-            chords = chords[self.on_shell(k - chords) | self.on_shell(k + chords)]
-        return chords
+        chords = self.keys[S[:, :1]] - self.keys
+        hit = chords != 0
+        for col in range(1, S.shape[1]):
+            k = self.keys[S[:, col, None]]
+            hit &= self.on_shell(k - chords) | self.on_shell(k + chords)
+        seg, q = np.nonzero(hit)
+        return seg, chords[seg, q]
 
 
 @lru_cache(maxsize=4)
@@ -412,12 +424,17 @@ def _classify_buffered(tb: _Tables, blocks, start: int):
 # Being antipodal-free is H-invariant and survives the same deletion, so
 # only antipodal-free children are generated, and the other C(N, m) -
 # 2^m C(N/2, m) subsets (N/2 antipodal pairs) are tallied in closed form.
-# Shell(4,12) under B_4 has 9,547 canonical 4-subsets, 8,864 of them
-# antipodal-free, for C(96,4) = 3,321,960. Each canonical prefix filters the
-# first vertex's chord keys through its own vertices once; its leaves join a
-# buffer with those chords and are classified by the shared kernel a chunk
-# at a time, where only the last vertex is left to filter. A violating
-# canonical set stands for its orbit {sorted(h(S)) : h in H}.
+# The generation runs a level at a time: the canonical k-prefixes, in index
+# order, are tested as array operations over every (prefix, row of H) pair
+# of a chunk, and their canonical children, in the same order, are the
+# (k+1)-prefixes. Shell(4,12) under B_4 has 2, 30 and 461 antipodal-free
+# canonical 1-, 2- and 3-prefixes, and 9,547 canonical 4-subsets, 8,864 of
+# them antipodal-free, for C(96,4) = 3,321,960. The (m-1)-prefixes are taken
+# CHUNK_ELEMENTS / N at a time; each batch filters every prefix's first
+# vertex's chord keys through its other vertices at once, and the leaves go
+# to the shared kernel with their prefix's chords, whole leaves to a block,
+# where only the last vertex is left to filter. A violating canonical set
+# stands for its orbit {sorted(h(S)) : h in H}.
 
 
 @lru_cache(maxsize=4)
@@ -438,53 +455,96 @@ def _group(dim: int, lam: int, kind: str) -> np.ndarray:
 
 
 def _canonical_sets(H: np.ndarray, m: int, neg: np.ndarray | None = None):
-    """Orderly generation of canonical m-subsets, depth first in index order.
+    """Orderly generation of canonical m-subsets, m >= 2, one level of prefixes at a time.
 
-    Yields (P, J, stab) for each canonical (m-1)-subset P reached: P + (j,)
-    for j in J are its canonical children, with stabilizer sizes stab;
-    given the antipode map `neg`, children whose antipode is in P are
-    dropped. For h fixing P, h(S) < S iff h(j) < j. Otherwise u =
+    Yields (P, J, stab) for each canonical (m-1)-subset P reached, in index
+    order: P + (j,) for j in J are its canonical children, with stabilizer
+    sizes stab; given the antipode map `neg`, children whose antipode is in
+    P are dropped. For h fixing P, h(S) < S iff h(j) < j. Otherwise u =
     sorted(h(P)) first exceeds P at some i, and h(S) < S iff h(j) < P[i],
     or h(j) = P[i] (one j per h) and (u_i, ..., u_{k-1}) is below
     (P[i+1], ..., P[k-1], j); equality there puts h in the stabilizer of S.
+
+    Each level's prefixes are tested CHUNK_ELEMENTS (prefix, row of H) pairs
+    at a time, every pair at once: u by a min/max insertion sort of the
+    columns h(P[t]), and "some h(j) < P[i]" as an OR of the bit words
+    low[h, P[i]], where low[h, t] holds {j : h(j) < t}, 64 indices a word.
+    Where low would not fit TABLE_BYTES beside H and its inverse, the rows
+    are compared with P[i] instead, CHUNK_ELEMENTS (prefix, row, point)
+    triples at a time. The rows fixing a prefix other than the identity,
+    few below the root, are tested one pair at a time.
     """
-    stack = [()]
-    while stack:
-        P = stack.pop()
-        lo, k = (P[-1] + 1 if P else 0), len(P)
-        J = np.arange(lo, H.shape[1], dtype=H.dtype)
-        X = H[:, lo:]
-        bad = np.zeros(len(J), dtype=bool)
-        stab = np.zeros(len(J), dtype=np.int64)
-        if neg is not None:
-            anti = neg[list(P)]
-            bad[anti[anti >= lo] - lo] = True
-        if k and len(J):
-            U = np.sort(H[:, P], axis=1)
-            p = np.array(P, dtype=H.dtype)
-            fix = (U == p).all(1)
-            i = (U != p).argmax(1)
-            # first f >= i with u_f != P[f + 1], else k - 1: the tail then rests on u_{k-1} vs j
-            nxt = np.append(p[1:], 0)
-            dif = (U != nxt) & (np.arange(k) >= i[:, None])
-            dif[:, -1] = True
-            f = dif.argmax(1)
-            uf = U[np.arange(len(H)), f]
-            tie = np.where(f == k - 1, uf, np.where(uf < nxt[f], -1, H.shape[1]))
-            thr = np.where(fix, -1, p[i]).astype(H.dtype)[:, None]  # rows fixing P come below
-            bad |= (X < thr).any(0)
-            eq = X == thr
-            at = eq.argmax(1)
-            tied = eq[np.arange(len(H)), at]
-            bad[at[tied & (tie < at + lo)]] = True
-            stab += np.bincount(at[tied & (tie == at + lo)], minlength=len(J))
-            X = X[fix]
-        bad |= (X < J).any(0)
-        stab += (X == J).sum(0)
-        if k + 1 == m:
-            yield P, J[~bad], stab[~bad]
+    G, N = H.shape
+    points, rows = np.arange(N), np.arange(G)
+    inv = np.empty_like(H)
+    inv[rows[:, None], H] = points
+    words = -(-N // 64)
+    low = None
+    if 8 * G * (N + (N + 1) * words) <= TABLE_BYTES:
+        # low[:, h, t] for t = 0..N: each j is set from t = h(j) + 1 on
+        low = np.zeros((words, G, N + 1), dtype=np.uint64)
+        low[points // 64, rows[:, None], H + 1] = np.uint64(1) << (points % 64).astype(np.uint64)
+        np.bitwise_or.accumulate(low, axis=2, out=low)
+        low = low.reshape(words, G * (N + 1))
+    identity = (H == points).all(1)
+
+    def children(P):
+        """(bad, stab), each (C, N): bad[c, j] unless P[c] + (j,) is a canonical child."""
+        C, k = P.shape
+        Pt = [P[:, t, None] for t in range(k)]
+        U = [H[:, p].T for p in P.T]
+        for t in range(1, k):
+            for s in range(t, 0, -1):
+                U[s - 1], U[s] = np.minimum(U[s - 1], U[s]), np.maximum(U[s - 1], U[s])
+        i, thr = np.full((C, G), k), np.zeros((C, G), dtype=P.dtype)  # h(j) < 0 never holds
+        for t in reversed(range(k)):
+            d = U[t] != Pt[t]
+            i, thr = np.where(d, t, i), np.where(d, Pt[t], thr)
+        # with h(j) = P[i]: h(S) < S always (-1), never (N), or iff u_{k-1} < j (u_{k-1})
+        tie = U[k - 1]
+        for t in reversed(range(k - 1)):
+            d = (t >= i) & (U[t] != Pt[t + 1])
+            tie = np.where(d, np.where(U[t] < Pt[t + 1], -1, N), tie)
+        tie = np.where(i == k, N, tie)  # rows fixing P
+        if low is not None:
+            w = np.bitwise_or.reduce(low.take(thr + rows * (N + 1), axis=1), axis=2)
+            w = np.ascontiguousarray(w.T, dtype="<u8").view(np.uint8)
+            bad = np.unpackbits(w, axis=1, count=N, bitorder="little").view(bool)
         else:
-            stack.extend(P + (j,) for j in reversed(J[~bad].tolist()))
+            bad = (H < thr[:, :, None]).any(1)
+        js = inv.take(thr + rows * N)  # h(js) = P[i]; a js not above P is dropped below
+        c, h = np.nonzero(tie < js)
+        bad[c, js[c, h]] = True
+        sc, h = np.nonzero(tie == js)
+        sj = js[sc, h]
+        c, h = np.nonzero((i == k) & ~identity)
+        e, j = np.nonzero(H[h] < points)
+        bad[c[e], j] = True
+        e, j = np.nonzero(H[h] == points)
+        stab = np.bincount(np.concatenate([sc, c[e]]) * N + np.concatenate([sj, j]),
+                           minlength=C * N)
+        if neg is not None:
+            bad[np.arange(C)[:, None], neg[P]] = True
+        bad |= points <= Pt[-1]
+        return bad, stab.reshape(C, N) + identity.sum()
+
+    step = max(1, CHUNK_ELEMENTS // (G if low is not None else G * N))
+    # the root: every row fixes it, and h({j}) < {j} iff h(j) < j
+    level = points[~(H < points).any(0), None]
+    for k in range(1, m):
+        nxt = []
+        for lo in range(0, len(level), step):
+            P = level[lo : lo + step]
+            bad, stab = children(P)
+            c, j = np.nonzero(~bad)
+            if k + 1 < m:
+                nxt.append(np.concatenate([P[c], j[:, None]], axis=1))
+                continue
+            J, stab = j.astype(H.dtype), stab[c, j]
+            cut = np.searchsorted(c, np.arange(len(P) + 1)).tolist()
+            for p, a, b in zip(P.tolist(), cut, cut[1:]):
+                yield tuple(p), J[a:b], stab[a:b]
+        level = np.concatenate(nxt) if nxt else np.zeros((0, k + 1), dtype=np.intp)
 
 
 def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
@@ -496,21 +556,25 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
     found = set()
 
     def blocks():
-        parent = base = None
-        for P, J, stab in _canonical_sets(H, m, tb.neg):
-            if P[:-1] != parent:  # siblings come in a row, depth first
-                parent = P[:-1]
-                base = tb.admissible(parent) if parent else None
-            chords = tb.admissible(P[-1:], base) if parent else tb.admissible(P)
-            leaves = np.empty((len(J), m), dtype=np.intp)
-            leaves[:, :-1] = P
-            leaves[:, -1] = J
-            weight = len(H) // stab
-            step = max(1, CHUNK_ELEMENTS // (len(chords) + 1))
-            for lo in range(0, len(J), step):
-                k = min(step, len(J) - lo)
-                yield (leaves[lo : lo + k], np.repeat(np.arange(k), len(chords)),
-                       np.tile(chords, k), weight[lo : lo + k])
+        prefixes = _canonical_sets(H, m, tb.neg)
+        while batch := list(islice(prefixes, max(1, CHUNK_ELEMENTS // n))):
+            P, J, stab = zip(*batch)
+            P = np.array(P, dtype=np.intp)
+            owner = np.repeat(np.arange(len(P)), [len(j) for j in J])
+            leaves = np.column_stack([P[owner], np.concatenate(J)])
+            weight = len(H) // np.concatenate(stab)
+            seg, chords = tb.admissible(P)
+            count = np.bincount(seg, minlength=len(P))
+            first, count = (np.cumsum(count) - count)[owner], count[owner]  # the prefix's chords
+            end = np.cumsum(count + 1)  # a leaf costs one element and one per chord
+            lo = 0
+            while lo < len(leaves):  # whole leaves, CHUNK_ELEMENTS elements a block where they fit
+                start = end[lo] - count[lo] - 1
+                hi = max(lo + 1, int(np.searchsorted(end, start + CHUNK_ELEMENTS, "right")))
+                c = count[lo:hi]
+                at = np.repeat(first[lo:hi] - np.cumsum(c) + c, c) + np.arange(c.sum())
+                yield leaves[lo:hi], np.repeat(np.arange(hi - lo), c), chords[at], weight[lo:hi]
+                lo = hi
 
     for S, weight, out in _classify_buffered(tb, blocks(), m - 1):
         _tally(hist, out, weight)
@@ -524,8 +588,9 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
 # Sampled sweeps. Each batch of subsets is drawn at once by `_draw_subsets`,
 # so a seed always draws the same ones; each drawn batch is classified by the
 # shared kernel, in slices of CHUNK_ELEMENTS (subset, chord) elements whose
-# candidates are the anchor's N - 1 chord keys, one class each. There is no
-# slow fallback: a shell whose keys do not fit in int64 is refused when its
+# candidates are the anchor's N - 1 chord keys, one class each, filtered
+# through the second vertex by `_Tables.admissible`. There is no slow
+# fallback: a shell whose keys do not fit in int64 is refused when its
 # table is built.
 
 
@@ -553,11 +618,7 @@ def _classify_drawn(tb: _Tables, S: np.ndarray) -> np.ndarray:
         step = max(1, CHUNK_ELEMENTS // tb.n)
         for lo in range(0, len(S), step):
             part = S[lo : lo + step]
-            chords = tb.keys[part[:, 0], None] - tb.keys
-            k = tb.keys[part[:, 1], None]
-            hit = (tb.on_shell(k - chords) | tb.on_shell(k + chords)) & (chords != 0)  # q != anchor
-            seg, q = np.nonzero(hit)
-            yield part, seg, chords[seg, q], np.ones(len(part), dtype=np.int64)
+            yield part, *tb.admissible(part[:, :2]), np.ones(len(part), dtype=np.int64)
 
     return np.concatenate([out for _, _, out in _classify_buffered(tb, blocks(), 2)])
 

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import numbers
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from itertools import combinations, product
@@ -141,6 +142,59 @@ def admissible_subset_count(shell: SphereShell) -> int:
     return total
 
 
+def reference_canonical_sets(H: np.ndarray, m: int, neg: np.ndarray | None = None):
+    """Orderly generation of canonical m-subsets, depth first in index order.
+
+    The per-prefix generator that `lemma._canonical_sets` replaced: the
+    oracle for its (P, J, stab) sequence.
+
+    Yields (P, J, stab) for each canonical (m-1)-subset P reached: P + (j,)
+    for j in J are its canonical children, with stabilizer sizes stab;
+    given the antipode map `neg`, children whose antipode is in P are
+    dropped. For h fixing P, h(S) < S iff h(j) < j. Otherwise u =
+    sorted(h(P)) first exceeds P at some i, and h(S) < S iff h(j) < P[i],
+    or h(j) = P[i] (one j per h) and (u_i, ..., u_{k-1}) is below
+    (P[i+1], ..., P[k-1], j); equality there puts h in the stabilizer of S.
+    """
+    stack = [()]
+    while stack:
+        P = stack.pop()
+        lo, k = (P[-1] + 1 if P else 0), len(P)
+        J = np.arange(lo, H.shape[1], dtype=H.dtype)
+        X = H[:, lo:]
+        bad = np.zeros(len(J), dtype=bool)
+        stab = np.zeros(len(J), dtype=np.int64)
+        if neg is not None:
+            anti = neg[list(P)]
+            bad[anti[anti >= lo] - lo] = True
+        if k and len(J):
+            U = np.sort(H[:, P], axis=1)
+            p = np.array(P, dtype=H.dtype)
+            fix = (U == p).all(1)
+            i = (U != p).argmax(1)
+            # first f >= i with u_f != P[f + 1], else k - 1: the tail then rests on u_{k-1} vs j
+            nxt = np.append(p[1:], 0)
+            dif = (U != nxt) & (np.arange(k) >= i[:, None])
+            dif[:, -1] = True
+            f = dif.argmax(1)
+            uf = U[np.arange(len(H)), f]
+            tie = np.where(f == k - 1, uf, np.where(uf < nxt[f], -1, H.shape[1]))
+            thr = np.where(fix, -1, p[i]).astype(H.dtype)[:, None]  # rows fixing P come below
+            bad |= (X < thr).any(0)
+            eq = X == thr
+            at = eq.argmax(1)
+            tied = eq[np.arange(len(H)), at]
+            bad[at[tied & (tie < at + lo)]] = True
+            stab += np.bincount(at[tied & (tie == at + lo)], minlength=len(J))
+            X = X[fix]
+        bad |= (X < J).any(0)
+        stab += (X == J).sum(0)
+        if k + 1 == m:
+            yield P, J[~bad], stab[~bad]
+        else:
+            stack.extend(P + (j,) for j in reversed(J[~bad].tolist()))
+
+
 def normalized_coeffs(shell: SphereShell, raw: dict[Point, complex]) -> EigenfunctionCoeffs:
     """Construct coefficients from arbitrary nonzero raw amplitudes."""
     total = math.fsum(abs(a) ** 2 for a in raw.values())
@@ -154,6 +208,20 @@ def random_raw_coeffs(shell: SphereShell, rng: np.random.Generator) -> Eigenfunc
         p: complex(rng.standard_normal(), rng.standard_normal()) for p in shell.points
     }
     return normalized_coeffs(shell, raw)
+
+
+def peak_bytes_of(fn):
+    """Peak bytes that fn allocates (numpy arrays included), and what it raised."""
+    tracemalloc.start()
+    try:
+        fn()
+        raised = None
+    except ResourceLimitError as exc:
+        raised = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, raised
 
 
 def run_cli(argv: list[str]) -> tuple[int, str, str]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -190,6 +191,30 @@ def test_lemma_exhaustive_byte_identical_across_threads():
     assert code1 == code2 == 1
     assert out1 == out2
     assert len(json.loads(out1)["violations"]) == 960
+
+
+# Exit code and sha256 of stdout, pinned from the output before the canonical-subset
+# generator ran a level at a time. A deliberate output change updates the hash and
+# says so in CHANGES.md.
+GOLDEN = [
+    ("lemma --dim 4 --lambda 12", 1,
+     "0b832485d5b9a29cf94f15302ff4f42c80b4d6d3751979b3d426c7115695b45e"),
+    ("lemma --dim 3 --lambda 41", 0,
+     "5cc0fc04fc298847e397200904b2bf9ecb753b6481c5d08cd045369a5d21c8c9"),
+    ("lemma --dim 3 --lambda 9 --extra-points 1", 0,
+     "614fe62e6db0a4d8d29c351d3f0430dd108c8a21c2a09963f96dbd7d15620b8f"),
+    ("sweep --dim 2 --lambda-min 1 --lambda-max 100 --random-trials 2", 0,
+     "92410b7cf4af11390ebaf675a6fe521af87428b14d5111792196d1c2b0777942"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDEN,
+                         ids=["lemma-4-12", "lemma-3-41", "lemma-3-9-extra1", "sweep-2-1-100"])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_stdout(command, code, digest, threads):
+    got, out, _ = run_cli(command.split() + ["--threads", threads])
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lemma_guard_exits_2():

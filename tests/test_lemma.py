@@ -5,7 +5,13 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
-from conftest import admissible_subset_count, full_scan_translates, sign_flip_degenerate
+from conftest import (
+    admissible_subset_count,
+    full_scan_translates,
+    peak_bytes_of,
+    reference_canonical_sets,
+    sign_flip_degenerate,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -295,6 +301,45 @@ def test_pruned_generation_counts_antipodal_free_subsets(dim, lam):
     antipodal = comb(n, dim) - free
     assert comb(n, dim) - 2**dim * comb(n // 2, dim) == antipodal
     assert _exhaustive(shell, dim, "signed-permutations")["skipped_antipodal"] == antipodal
+
+
+GROUPS = {"B": "signed-permutations", "S": "sign-changes", "T": "trivial"}
+# (dim, lam, m, groups): the per-prefix oracle takes about 0.2 ms a prefix, so the
+# smaller groups, with many more prefixes, run on the smaller cases only (the
+# sign changes would take 1 s on shell(4,12), the trivial group 27 s)
+GENERATION_CASES = [
+    (4, 12, 4, "B"), (3, 41, 3, "BS"), (3, 41, 4, "B"), (5, 2, 5, "BS"), (6, 1, 6, "BST"),
+    (4, 17, 4, "B"), (2, 65, 2, "BST"), (2, 65, 3, "BST"), (3, 9, 3, "BST"), (2, 5, 2, "BST"),
+    (2, 25, 2, "BST"), (4, 4, 4, "BST"),
+]
+
+
+def _prefix_sequence(prefixes):
+    return [(P, J.dtype, J.tolist(), stab.dtype, stab.tolist()) for P, J, stab in prefixes]
+
+
+@pytest.mark.parametrize("dim,lam,m,kind,anti", [
+    pytest.param(dim, lam, m, GROUPS[g], anti, id=f"{dim}-{lam}-m{m}-{g}{'-anti' if anti else ''}")
+    for dim, lam, m, groups in GENERATION_CASES for g in groups for anti in (False, True)
+])
+def test_level_generation_matches_per_prefix_oracle(dim, lam, m, kind, anti):
+    """The level-at-a-time generator yields the per-prefix oracle's (P, J, stab) sequence."""
+    H = _group(dim, lam, kind)
+    neg = _tables(dim, lam).neg if anti else None
+    expected = _prefix_sequence(reference_canonical_sets(H, m, neg))
+    assert _prefix_sequence(_canonical_sets(H, m, neg)) == expected
+
+
+@pytest.mark.parametrize("dim,lam,m,kind", [
+    (4, 4, 4, "signed-permutations"), (4, 4, 4, "sign-changes"), (3, 9, 3, "trivial"),
+    (2, 65, 3, "signed-permutations"), (6, 1, 6, "sign-changes"),
+], ids=["4-4-B", "4-4-S", "3-9-T", "2-65-m3-B", "6-1-S"])
+def test_level_generation_without_bit_words(dim, lam, m, kind, monkeypatch):
+    """Where the bit words do not fit the table budget, rows are compared with thresholds."""
+    H, neg = _group(dim, lam, kind), _tables(dim, lam).neg
+    expected = _prefix_sequence(reference_canonical_sets(H, m, neg))
+    monkeypatch.setattr(lemma, "TABLE_BYTES", 0)
+    assert _prefix_sequence(_canonical_sets(H, m, neg)) == expected
 
 
 @pytest.mark.parametrize(
@@ -589,15 +634,36 @@ def test_batched_rank_past_the_hadamard_guard_stays_exact(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [1, 2**30], ids=["1", "2^30"])
 def test_chunk_budget_does_not_change_reports(chunk, monkeypatch):
-    """Chunks of one subset and one chunk for everything give the default chunks' reports."""
+    """Chunks of one subset and one chunk for everything give the default chunks' reports.
+
+    The canonical-subset generator, which tests one prefix a chunk at the
+    smallest budget and a whole level at once at the largest, yields the
+    default chunks' sequence too.
+    """
     sweeps = [
         (enumerate_shell(4, 12), dict(mode="exhaustive")),
         (enumerate_shell(3, 9), dict(mode="exhaustive", extra_points=1)),
         (enumerate_shell(5, 5), dict(mode="sampled", count=1000, extra_points=1)),
     ]
+    H, neg = _group(4, 12, "signed-permutations"), _tables(4, 12).neg
     expected = [verify_lemma(shell, **kwargs) for shell, kwargs in sweeps]
+    prefixes = _prefix_sequence(_canonical_sets(H, 4, neg))
     monkeypatch.setattr(lemma, "CHUNK_ELEMENTS", chunk)
     assert [verify_lemma(shell, **kwargs) for shell, kwargs in sweeps] == expected
+    assert _prefix_sequence(_canonical_sets(H, 4, neg)) == prefixes
+
+
+def test_exhaustive_sweep_peak_memory_stays_small():
+    """A warm B_4 sweep of shell(4,12) peaks below 4 MiB under tracemalloc.
+
+    Levels of prefixes and their leaves are handled in chunks; handling a
+    level at once would peak at about 13 MiB.
+    """
+    shell = enumerate_shell(4, 12)
+    _exhaustive(shell, 4, "signed-permutations")  # builds the tables and the group
+    peak, raised = peak_bytes_of(lambda: _exhaustive(shell, 4, "signed-permutations"))
+    assert raised is None
+    assert peak < 4 * 2**20
 
 
 def test_unpackable_shell_is_refused():

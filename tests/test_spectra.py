@@ -8,6 +8,7 @@ from conftest import (
     brute_spectrum,
     expand_records,
     normalized_coeffs,
+    peak_bytes_of,
     random_raw_coeffs,
     reference_dumps,
     reference_entries,
@@ -253,20 +254,6 @@ def test_pair_index_matches_unique_over_difference_rows(case, branch, monkeypatc
     assert ps.taus.dtype == taus.dtype and np.array_equal(ps.taus, taus)
     assert ps.bins.dtype == np.intp and np.array_equal(ps.bins, bins)
     assert ps.size == s and ps.n_taus == len(taus)
-
-
-def peak_bytes_of(fn):
-    """Peak bytes that fn allocates (numpy arrays included), and what it raised."""
-    tracemalloc.start()
-    try:
-        fn()
-        raised = None
-    except ResourceLimitError as exc:
-        raised = exc
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak, raised
 
 
 def test_pair_guard_refuses_by_bytes_before_allocating(monkeypatch):
