@@ -54,7 +54,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial, isqrt
 from operator import sub
 
@@ -73,8 +73,9 @@ from .lattice import Point, SphereShell, enumerate_shell, negate
 EXHAUSTIVE_GUARD = 10**7
 SAMPLE_ATTEMPT_FACTOR = 50
 # Elements handled at once: (subset, chord) pairs classified by the shared
-# kernel (see _classify), (prefix, group element) pairs tested for canonical
-# children (see _canonical_sets).
+# kernel (see _classify), and (prefix, group element) or (prefix, point)
+# pairs, whichever are more, tested for canonical children (see
+# _canonical_sets).
 CHUNK_ELEMENTS = 1 << 12
 
 
@@ -429,12 +430,12 @@ def _classify_buffered(tb: _Tables, blocks, start: int):
 # of a chunk, and their canonical children, in the same order, are the
 # (k+1)-prefixes. Shell(4,12) under B_4 has 2, 30 and 461 antipodal-free
 # canonical 1-, 2- and 3-prefixes, and 9,547 canonical 4-subsets, 8,864 of
-# them antipodal-free, for C(96,4) = 3,321,960. The (m-1)-prefixes are taken
-# CHUNK_ELEMENTS / N at a time; each batch filters every prefix's first
-# vertex's chord keys through its other vertices at once, and the leaves go
-# to the shared kernel with their prefix's chords, whole leaves to a block,
-# where only the last vertex is left to filter. A violating canonical set
-# stands for its orbit {sorted(h(S)) : h in H}.
+# them antipodal-free, for C(96,4) = 3,321,960. The sweep takes the
+# generator's chunks as they come: each chunk of (m-1)-prefixes filters every
+# prefix's first vertex's chord keys through its other vertices at once, and
+# its leaves go to the shared kernel with their prefix's chords, whole leaves
+# to a block, where only the last vertex is left to filter. A violating
+# canonical set stands for its orbit {sorted(h(S)) : h in H}.
 
 
 @lru_cache(maxsize=4)
@@ -454,39 +455,41 @@ def _group(dim: int, lam: int, kind: str) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _group_bytes(order: int, n: int) -> int:
+    """Bytes of a group's tables on n points: H and its inverse (int32), and the bit words."""
+    return 8 * order * (n + (n + 1) * -(-n // 64))
+
+
 def _canonical_sets(H: np.ndarray, m: int, neg: np.ndarray | None = None):
     """Orderly generation of canonical m-subsets, m >= 2, one level of prefixes at a time.
 
-    Yields (P, J, stab) for each canonical (m-1)-subset P reached, in index
-    order: P + (j,) for j in J are its canonical children, with stabilizer
-    sizes stab; given the antipode map `neg`, children whose antipode is in
-    P are dropped. For h fixing P, h(S) < S iff h(j) < j. Otherwise u =
+    Yields (P, c, J, stab) for each chunk of the canonical (m-1)-subsets
+    reached, P their (C, m-1) index rows in index order: P[c[e]] + (J[e],)
+    are their canonical children, in index order, with stabilizer sizes
+    stab[e]; given the antipode map `neg`, children whose antipode is in P
+    are dropped. For h fixing P, h(S) < S iff h(j) < j. Otherwise u =
     sorted(h(P)) first exceeds P at some i, and h(S) < S iff h(j) < P[i],
     or h(j) = P[i] (one j per h) and (u_i, ..., u_{k-1}) is below
     (P[i+1], ..., P[k-1], j); equality there puts h in the stabilizer of S.
 
-    Each level's prefixes are tested CHUNK_ELEMENTS (prefix, row of H) pairs
-    at a time, every pair at once: u by a min/max insertion sort of the
-    columns h(P[t]), and "some h(j) < P[i]" as an OR of the bit words
+    Each level's prefixes are tested CHUNK_ELEMENTS / max(|H|, N) at a time,
+    every (prefix, row of H) pair at once: u by a min/max insertion sort of
+    the columns h(P[t]), and "some h(j) < P[i]" as an OR of the bit words
     low[h, P[i]], where low[h, t] holds {j : h(j) < t}, 64 indices a word.
-    Where low would not fit TABLE_BYTES beside H and its inverse, the rows
-    are compared with P[i] instead, CHUNK_ELEMENTS (prefix, row, point)
-    triples at a time. The rows fixing a prefix other than the identity,
-    few below the root, are tested one pair at a time.
+    The rows fixing a prefix, few below the root, are tested one pair at a
+    time. H, its inverse and the words take `_group_bytes`; the caller
+    chooses a group whose tables fit.
     """
     G, N = H.shape
     points, rows = np.arange(N), np.arange(G)
     inv = np.empty_like(H)
     inv[rows[:, None], H] = points
     words = -(-N // 64)
-    low = None
-    if 8 * G * (N + (N + 1) * words) <= TABLE_BYTES:
-        # low[:, h, t] for t = 0..N: each j is set from t = h(j) + 1 on
-        low = np.zeros((words, G, N + 1), dtype=np.uint64)
-        low[points // 64, rows[:, None], H + 1] = np.uint64(1) << (points % 64).astype(np.uint64)
-        np.bitwise_or.accumulate(low, axis=2, out=low)
-        low = low.reshape(words, G * (N + 1))
-    identity = (H == points).all(1)
+    # low[:, h, t] for t = 0..N: each j is set from t = h(j) + 1 on
+    low = np.zeros((words, G, N + 1), dtype=np.uint64)
+    low[points // 64, rows[:, None], H + 1] = np.uint64(1) << (points % 64).astype(np.uint64)
+    np.bitwise_or.accumulate(low, axis=2, out=low)
+    low = low.reshape(words, G * (N + 1))
 
     def children(P):
         """(bad, stab), each (C, N): bad[c, j] unless P[c] + (j,) is a canonical child."""
@@ -506,18 +509,15 @@ def _canonical_sets(H: np.ndarray, m: int, neg: np.ndarray | None = None):
             d = (t >= i) & (U[t] != Pt[t + 1])
             tie = np.where(d, np.where(U[t] < Pt[t + 1], -1, N), tie)
         tie = np.where(i == k, N, tie)  # rows fixing P
-        if low is not None:
-            w = np.bitwise_or.reduce(low.take(thr + rows * (N + 1), axis=1), axis=2)
-            w = np.ascontiguousarray(w.T, dtype="<u8").view(np.uint8)
-            bad = np.unpackbits(w, axis=1, count=N, bitorder="little").view(bool)
-        else:
-            bad = (H < thr[:, :, None]).any(1)
+        w = np.bitwise_or.reduce(low.take(thr + rows * (N + 1), axis=1), axis=2)
+        w = np.ascontiguousarray(w.T, dtype="<u8").view(np.uint8)
+        bad = np.unpackbits(w, axis=1, count=N, bitorder="little").view(bool)
         js = inv.take(thr + rows * N)  # h(js) = P[i]; a js not above P is dropped below
         c, h = np.nonzero(tie < js)
         bad[c, js[c, h]] = True
         sc, h = np.nonzero(tie == js)
         sj = js[sc, h]
-        c, h = np.nonzero((i == k) & ~identity)
+        c, h = np.nonzero(i == k)
         e, j = np.nonzero(H[h] < points)
         bad[c[e], j] = True
         e, j = np.nonzero(H[h] == points)
@@ -526,9 +526,9 @@ def _canonical_sets(H: np.ndarray, m: int, neg: np.ndarray | None = None):
         if neg is not None:
             bad[np.arange(C)[:, None], neg[P]] = True
         bad |= points <= Pt[-1]
-        return bad, stab.reshape(C, N) + identity.sum()
+        return bad, stab.reshape(C, N)
 
-    step = max(1, CHUNK_ELEMENTS // (G if low is not None else G * N))
+    step = max(1, CHUNK_ELEMENTS // max(G, N))
     # the root: every row fixes it, and h({j}) < {j} iff h(j) < j
     level = points[~(H < points).any(0), None]
     for k in range(1, m):
@@ -539,11 +539,8 @@ def _canonical_sets(H: np.ndarray, m: int, neg: np.ndarray | None = None):
             c, j = np.nonzero(~bad)
             if k + 1 < m:
                 nxt.append(np.concatenate([P[c], j[:, None]], axis=1))
-                continue
-            J, stab = j.astype(H.dtype), stab[c, j]
-            cut = np.searchsorted(c, np.arange(len(P) + 1)).tolist()
-            for p, a, b in zip(P.tolist(), cut, cut[1:]):
-                yield tuple(p), J[a:b], stab[a:b]
+            else:
+                yield P, c, j, stab[c, j]
         level = np.concatenate(nxt) if nxt else np.zeros((0, k + 1), dtype=np.intp)
 
 
@@ -556,25 +553,20 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
     found = set()
 
     def blocks():
-        prefixes = _canonical_sets(H, m, tb.neg)
-        while batch := list(islice(prefixes, max(1, CHUNK_ELEMENTS // n))):
-            P, J, stab = zip(*batch)
-            P = np.array(P, dtype=np.intp)
-            owner = np.repeat(np.arange(len(P)), [len(j) for j in J])
-            leaves = np.column_stack([P[owner], np.concatenate(J)])
-            weight = len(H) // np.concatenate(stab)
+        for P, owner, J, stab in _canonical_sets(H, m, tb.neg):
+            leaves = np.concatenate([P[owner], J[:, None]], axis=1)
+            weight = len(H) // stab
             seg, chords = tb.admissible(P)
             count = np.bincount(seg, minlength=len(P))
             first, count = (np.cumsum(count) - count)[owner], count[owner]  # the prefix's chords
             end = np.cumsum(count + 1)  # a leaf costs one element and one per chord
-            lo = 0
+            lo = done = 0
             while lo < len(leaves):  # whole leaves, CHUNK_ELEMENTS elements a block where they fit
-                start = end[lo] - count[lo] - 1
-                hi = max(lo + 1, int(np.searchsorted(end, start + CHUNK_ELEMENTS, "right")))
+                hi = max(lo + 1, int(np.searchsorted(end, done + CHUNK_ELEMENTS, "right")))
                 c = count[lo:hi]
                 at = np.repeat(first[lo:hi] - np.cumsum(c) + c, c) + np.arange(c.sum())
                 yield leaves[lo:hi], np.repeat(np.arange(hi - lo), c), chords[at], weight[lo:hi]
-                lo = hi
+                lo, done = hi, end[hi - 1]
 
     for S, weight, out in _classify_buffered(tb, blocks(), m - 1):
         _tally(hist, out, weight)
@@ -637,8 +629,9 @@ def verify_lemma(
     extra_points (guarded at 10^7 combinations) but visits one canonical
     antipodal-free subset per orbit of the signed permutations B_n, weighted
     by the orbit's size. It uses B_n's 2^n sign changes instead when B_n has
-    more elements than there are (m-1)-subsets, or when B_n's index table
-    (4 bytes per element and point) would exceed TABLE_BYTES. The
+    more elements than there are (m-1)-subsets, or when B_n's tables (its
+    index table, its inverse and the generator's bit words, about 8 + N/8
+    bytes per element and point) would exceed TABLE_BYTES. The
     C(N, m) - 2^m C(N/2, m) subsets holding an antipodal pair are counted in
     closed form. Sampled mode draws uniform random subsets, seeded by `seed`
     >= 0, until `count` valid simplices have been checked (or a 50x attempt
@@ -683,11 +676,11 @@ def verify_lemma(
         return LemmaSweepReport(**base, **_tally_fields(Counter({-1: comb(n, m)})), violations=())
 
     if mode == "exhaustive":
-        # B_n when it has no more rows than there are (m-1)-subsets and its table
-        # fits, decided before it is built; its 2^n sign changes always fit, since
-        # with 2m <= N the guard keeps 2^n N below 2^17
+        # B_n when it has no more rows than there are (m-1)-subsets and its tables
+        # fit, decided before they are built; its 2^n sign changes always fit,
+        # since with 2m <= N the guard keeps their tables below 11 MB
         order = 2**shell.dim * factorial(shell.dim)
-        full = order <= comb(n, m - 1) and 4 * order * n <= TABLE_BYTES
+        full = order <= comb(n, m - 1) and _group_bytes(order, n) <= TABLE_BYTES
         group = "signed-permutations" if full else "sign-changes"
         return LemmaSweepReport(**base, **_exhaustive(shell, m, group))
 

@@ -146,7 +146,7 @@ def reference_canonical_sets(H: np.ndarray, m: int, neg: np.ndarray | None = Non
     """Orderly generation of canonical m-subsets, depth first in index order.
 
     The per-prefix generator that `lemma._canonical_sets` replaced: the
-    oracle for its (P, J, stab) sequence.
+    oracle for the (P, J, stab) sequence its chunks hold.
 
     Yields (P, J, stab) for each canonical (m-1)-subset P reached: P + (j,)
     for j in J are its canonical children, with stabilizer sizes stab;

@@ -276,7 +276,7 @@ def test_orderly_generation_visits_each_orbit_once(dim, lam, orbits):
     assert set(map(tuple, table.tolist())) == group
     assert _burnside_orbits(group, dim) == orbits
     leaves = weight = 0
-    for _, J, stab in _canonical_sets(table, dim):
+    for _, _, J, stab in _canonical_sets(table, dim):
         leaves += len(J)
         weight += int((len(table) // stab).sum())
     assert leaves == orbits
@@ -296,7 +296,7 @@ def test_pruned_generation_counts_antipodal_free_subsets(dim, lam):
     free = sum(len({pair[i] for i in S}) == dim for S in combinations(range(n), dim))
     table = _group(dim, lam, "signed-permutations")
     leaves = _canonical_sets(table, dim, _tables(dim, lam).neg)
-    weight = sum(int((len(table) // stab).sum()) for _, _, stab in leaves)
+    weight = sum(int((len(table) // stab).sum()) for *_, stab in leaves)
     assert weight == free
     antipodal = comb(n, dim) - free
     assert comb(n, dim) - 2**dim * comb(n // 2, dim) == antipodal
@@ -314,8 +314,14 @@ GENERATION_CASES = [
 ]
 
 
-def _prefix_sequence(prefixes):
-    return [(P, J.dtype, J.tolist(), stab.dtype, stab.tolist()) for P, J, stab in prefixes]
+def _prefix_sequence(chunks):
+    """The per-prefix (P, J, stab) sequence, as lists, of the generator's chunks."""
+    return [(tuple(p), J[c == i].tolist(), stab[c == i].tolist())
+            for P, c, J, stab in chunks for i, p in enumerate(P.tolist())]
+
+
+def _oracle_sequence(H, m, neg):
+    return [(P, J.tolist(), stab.tolist()) for P, J, stab in reference_canonical_sets(H, m, neg)]
 
 
 @pytest.mark.parametrize("dim,lam,m,kind,anti", [
@@ -323,23 +329,10 @@ def _prefix_sequence(prefixes):
     for dim, lam, m, groups in GENERATION_CASES for g in groups for anti in (False, True)
 ])
 def test_level_generation_matches_per_prefix_oracle(dim, lam, m, kind, anti):
-    """The level-at-a-time generator yields the per-prefix oracle's (P, J, stab) sequence."""
+    """The level-at-a-time generator's chunks hold the per-prefix oracle's (P, J, stab) sequence."""
     H = _group(dim, lam, kind)
     neg = _tables(dim, lam).neg if anti else None
-    expected = _prefix_sequence(reference_canonical_sets(H, m, neg))
-    assert _prefix_sequence(_canonical_sets(H, m, neg)) == expected
-
-
-@pytest.mark.parametrize("dim,lam,m,kind", [
-    (4, 4, 4, "signed-permutations"), (4, 4, 4, "sign-changes"), (3, 9, 3, "trivial"),
-    (2, 65, 3, "signed-permutations"), (6, 1, 6, "sign-changes"),
-], ids=["4-4-B", "4-4-S", "3-9-T", "2-65-m3-B", "6-1-S"])
-def test_level_generation_without_bit_words(dim, lam, m, kind, monkeypatch):
-    """Where the bit words do not fit the table budget, rows are compared with thresholds."""
-    H, neg = _group(dim, lam, kind), _tables(dim, lam).neg
-    expected = _prefix_sequence(reference_canonical_sets(H, m, neg))
-    monkeypatch.setattr(lemma, "TABLE_BYTES", 0)
-    assert _prefix_sequence(_canonical_sets(H, m, neg)) == expected
+    assert _prefix_sequence(_canonical_sets(H, m, neg)) == _oracle_sequence(H, m, neg)
 
 
 @pytest.mark.parametrize(
@@ -362,11 +355,13 @@ def test_group_choice_does_not_change_reports(dim, lam, extra, kinds):
 
 
 def test_group_choice_follows_prefix_count_and_table_budget(monkeypatch):
-    """B_n when 2^n n! <= C(N, m - 1) and its table fits TABLE_BYTES, else its sign changes.
+    """B_n when 2^n n! <= C(N, m - 1) and its tables fit TABLE_BYTES, else its sign changes.
 
-    Shell(6,1)'s B_6 table (2.2 MB) fits, but its 46,080 elements outnumber the
-    C(12,5) = 792 prefixes; B_8 on shell(8,1) would also take 2^8 * 8! * 16
-    int32 = 660 MB.
+    The tables are B_n's index table and its inverse (int32 each) and the
+    generator's bit words (one uint64 per element, threshold 0..N and 64
+    points). Shell(6,1)'s B_6 tables (9.2 MB) fit, but its 46,080 elements
+    outnumber the C(12,5) = 792 prefixes; B_8 on shell(8,1) would also take
+    2^8 * 8! * 16 int32 = 660 MB for its index table alone.
     """
     built = []
 
@@ -377,7 +372,7 @@ def test_group_choice_follows_prefix_count_and_table_budget(monkeypatch):
     monkeypatch.setattr(lemma, "_group", recording_group)
     for dim, lam in [(4, 12), (5, 2), (6, 1)]:
         verify_lemma(enumerate_shell(dim, lam), mode="exhaustive")
-    assert 4 * 2**6 * factorial(6) * 12 <= TABLE_BYTES
+    assert 4 * 2**6 * factorial(6) * (12 + 12) + 8 * 2**6 * factorial(6) * 13 <= TABLE_BYTES
     assert 2**6 * factorial(6) > comb(12, 5)
     shell = enumerate_shell(8, 1)
     report = verify_lemma(shell, mode="exhaustive")
@@ -386,11 +381,15 @@ def test_group_choice_follows_prefix_count_and_table_budget(monkeypatch):
     assert report.simplices_checked == 256  # one point of each of the 8 antipodal pairs
     assert report.skipped_antipodal == comb(16, 8) - 256 == 12614
     assert report.skipped_degenerate == 0
-    # B_5's table on shell(5,2) takes 4 * 3840 * 40 bytes = 0.6 MB
-    monkeypatch.setattr(lemma, "TABLE_BYTES", 4 * 3840 * 40 - 1)
-    built.clear()
-    verify_lemma(enumerate_shell(5, 2), mode="exhaustive")
-    assert built == [(5, 2, "sign-changes")]
+    # B_5's tables on shell(5,2): 4 * 3840 * 40 bytes each for H and its inverse,
+    # 8 * 3840 * 41 for the words, 2.5 MB; the index table alone would fit 0.6 MB
+    need = 4 * 3840 * 40 * 2 + 8 * 3840 * 41
+    for budget, kind in [(need, "signed-permutations"), (need - 1, "sign-changes"),
+                         (4 * 3840 * 40, "sign-changes")]:
+        monkeypatch.setattr(lemma, "TABLE_BYTES", budget)
+        built.clear()
+        verify_lemma(enumerate_shell(5, 2), mode="exhaustive")
+        assert built == [(5, 2, kind)]
 
 
 def test_more_vertices_than_antipodal_pairs():
