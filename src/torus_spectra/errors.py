@@ -39,5 +39,9 @@ class ResourceLimitError(TorusSpectraError):
     """A combinatorial or memory guard was exceeded."""
 
 
+class PointLimitError(ResourceLimitError):
+    """A shell holds more points than one enumeration may (lattice.MAX_POINTS)."""
+
+
 class CoefficientFileError(TorusSpectraError, ValueError):
     """A coefficient file is malformed or fails its normalization contract."""

@@ -34,6 +34,16 @@ every accepted iterate's value and gradient come from one evaluation.
 Each restart reports why it stopped: `tol` (tangential gradient below
 `tol` times |g|), `stalled` (neither trial increases the objective; the
 last iterate is kept) or `max_iters`.
+
+The ascent drives most amplitudes b_tau geometrically towards 0: at late
+iterates on shell(5,5) 41% of the 3,133 are below 1e-100. numpy's pow
+takes 0.14-0.24 us for each result that underflows below the smallest
+normal double (about 2.2e-308), against about 4 ns otherwise. So f is
+summed by `spectra.power_sum`, which raises only the |b_tau| whose p-th
+power is a normal double and counts the others, each below 2.2e-308
+against f >= |b_0|^p = 1, as 0; and the gradient weights are computed
+only above GRAD_ZERO_TOL. Values, gradients and iterates are bitwise those
+of the unmasked formulas, which the tests keep as their oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .lattice import Point, SphereShell, enumerate_shell
+from .lattice import Point, SphereShell, enumerate_shell, require_whole
 from .spectra import (
     EigenfunctionCoeffs,
     applicable_bound,
@@ -52,12 +62,14 @@ from .spectra import (
     bound_verdict,
     lp_norm,
     pair_structure,
+    power_sum,
     require_exponent,
 )
 
 # |b_tau| below this contributes no gradient term: |b|^p = (|b|^2)^(p/2) is
 # non-smooth at 0 for odd p, and zeroing the term avoids NaN without biasing
-# generic points.
+# generic points. Its weight |b|^(p-2) is never computed: below the tolerance
+# the power is often subnormal, numpy's slow path, and would be dropped.
 GRAD_ZERO_TOL = 1e-14
 
 
@@ -146,18 +158,18 @@ class SpectrumEngine:
     def _weights(self, b: np.ndarray, mags: np.ndarray, p: float) -> np.ndarray:
         if p == 2:
             return p * b
-        scale = np.where(mags < GRAD_ZERO_TOL, 0.0, mags ** (p - 2))
+        scale = np.power(mags, p - 2, out=np.zeros_like(mags), where=~(mags < GRAD_ZERO_TOL))
         return p * scale * b
 
     def power_value(self, a: np.ndarray, p: float) -> float:
         """f = sum |b_tau|^p."""
-        return float((np.abs(self._pairs.accumulate(a)) ** p).sum())
+        return float(power_sum(np.abs(self._pairs.accumulate(a)), p))
 
     def power_value_and_gradient(self, a: np.ndarray, p: float) -> tuple[float, np.ndarray]:
         """f and its gradient."""
         b = self._pairs.accumulate(a)
         mags = np.abs(b)
-        f = float((mags**p).sum())
+        f = float(power_sum(mags, p))
         s = self._pairs.size
         matrix = self._pairs.gather(self._weights(b, mags, p)).reshape(s, s)
         return f, 2.0 * (matrix @ a)
@@ -264,12 +276,7 @@ def maximize(
     if len(shell) == 0:
         raise ContractError(f"shell({shell.dim}, {shell.lam}) is empty")
     require_exponent(p, 2, "maximize")
-    full = enumerate_shell(shell.dim, shell.lam)
-    if shell.points != full.points:
-        raise ContractError(
-            f"the {len(shell)} given points differ from the {len(full)} points of "
-            f"shell({shell.dim}, {shell.lam}); pass the enumerated shell and restrict with support="
-        )
+    require_whole(shell, enumerate_shell, "pass the enumerated shell and restrict with support=")
     cfg = config or ExtremizerConfig()
     engine = SpectrumEngine(shell, support)
     points = engine.points

@@ -10,10 +10,12 @@ other module builds on them.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import isqrt
+from typing import TypeVar
 
-from .errors import ContractError, RangeError, ResourceLimitError
+from .errors import ContractError, PointLimitError, RangeError
 
 Point = tuple[int, ...]
 
@@ -76,7 +78,7 @@ def enumerate_shell(dim: int, lam: int) -> SphereShell:
     lam are not sums of dim squares).
 
     Raises RangeError unless 2 <= dim <= 16 and 0 <= lam <= 2**40, and
-    ResourceLimitError as soon as more than MAX_POINTS points are found.
+    PointLimitError as soon as more than MAX_POINTS points are found.
     """
     if not MIN_DIM <= dim <= MAX_DIM:
         raise RangeError(f"dim must be in [{MIN_DIM}, {MAX_DIM}], got {dim}")
@@ -100,7 +102,7 @@ def enumerate_shell(dim: int, lam: int) -> SphereShell:
                     points.append(tuple(coords))
                 if len(points) > MAX_POINTS:
                     points.clear()  # descend's closure is a cycle: free the points now
-                    raise ResourceLimitError(
+                    raise PointLimitError(
                         f"shell({dim}, {lam}) has more than {MAX_POINTS} points, "
                         "above the enumeration guard"
                     )
@@ -113,6 +115,32 @@ def enumerate_shell(dim: int, lam: int) -> SphereShell:
     descend(0, lam)
     pts = tuple(points)
     return SphereShell(dim=dim, lam=lam, points=pts, index=frozenset(pts))
+
+
+T = TypeVar("T")
+
+
+def require_whole(shell: SphereShell, build: Callable[[int, int], T], advice: str) -> T:
+    """build(dim, lam), from the enumerated shell, once `shell` is shown to be all of it.
+
+    `build` enumerates shell(dim, lam) and returns an object holding its
+    `points`. A hand-built subset is refused with a ContractError that names
+    both counts, also when the enumeration stops at MAX_POINTS: a given
+    shell no longer than that cannot be the whole one.
+    """
+    try:
+        whole = build(shell.dim, shell.lam)
+    except PointLimitError:
+        if len(shell) > MAX_POINTS:
+            raise
+        whole = None
+    if whole is None or shell.points != whole.points:
+        count = f"more than {MAX_POINTS}" if whole is None else len(whole.points)
+        raise ContractError(
+            f"the {len(shell)} given points differ from the {count} points of "
+            f"shell({shell.dim}, {shell.lam}); {advice}"
+        )
+    return whole
 
 
 def contains(shell: SphereShell, p: Point) -> bool:

@@ -68,7 +68,7 @@ from .errors import (
     MembershipError,
     ResourceLimitError,
 )
-from .lattice import Point, SphereShell, enumerate_shell, negate
+from .lattice import Point, SphereShell, enumerate_shell, negate, require_whole
 
 EXHAUSTIVE_GUARD = 10**7
 SAMPLE_ATTEMPT_FACTOR = 50
@@ -252,12 +252,12 @@ class _Tables:
     def __init__(self, shell: SphereShell):
         spec = pack_spec(shell.dim, 3 * isqrt(shell.lam))
         self.dim = shell.dim
-        self.pts = shell.points
-        self.n = len(self.pts)
+        self.points = shell.points
+        self.n = len(self.points)
         # the points are sorted and closed under negation, which reverses the order
         self.neg = np.arange(self.n)[::-1]
         self.spec = spec
-        self.arr = np.array(self.pts, dtype=np.int64).reshape(self.n, shell.dim)
+        self.arr = np.array(self.points, dtype=np.int64).reshape(self.n, shell.dim)
         self.keys = pack_rows(self.arr, *spec)  # ascending: points are in lexicographic order
         self.member = None
         if spec[1] ** shell.dim <= TABLE_BYTES:
@@ -665,12 +665,7 @@ def verify_lemma(
             f"{comb(n, m)} subsets of size {m} exceed the exhaustive guard of "
             f"{EXHAUSTIVE_GUARD}; use sampled mode"
         )
-    tables = _tables(shell.dim, shell.lam)
-    if shell.points != tables.pts:
-        raise ContractError(
-            f"the {n} given points differ from the {tables.n} points of "
-            f"shell({shell.dim}, {shell.lam}); sweep the enumerated shell"
-        )
+    tables = require_whole(shell, _tables, "sweep the enumerated shell")
     if n < m or (mode == "exhaustive" and 2 * m > n):
         # every m-subset, if any, holds one of the n/2 antipodal pairs
         return LemmaSweepReport(**base, **_tally_fields(Counter({-1: comb(n, m)})), violations=())

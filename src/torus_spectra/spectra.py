@@ -273,11 +273,30 @@ def require_exponent(p: float, least: float, caller: str) -> None:
         raise ContractError(f"{caller} requires finite p >= {least:g}, got {p}")
 
 
+# The smallest normal double. A p-th power below it is subnormal or 0.
+_TINY = np.finfo(np.float64).tiny
+
+
+def power_sum(mags: np.ndarray, p: float) -> np.float64:
+    """sum mags**p, with pow called only where the p-th power is a normal double.
+
+    numpy's pow takes 0.14-0.24 us for each element whose result underflows
+    below the smallest normal double, against about 4 ns otherwise, and an
+    ascent drives most |b_tau| there. Terms with mags < tiny^(1/p) are taken
+    as 0: each is below 2.2e-308, against a sum of at least |b_0|^p = 1 on
+    a normalized spectrum, and the sum equals the unmasked one bitwise on
+    every vector the tests try. Only a sum that is itself below the normal
+    range can differ: it reads 0 where pow gives a subnormal. The mask is
+    "not below the floor", so NaN and inf still reach pow and propagate.
+    """
+    keep = ~(mags < _TINY ** (1.0 / p))
+    return np.power(mags, p, out=np.zeros_like(mags), where=keep).sum()
+
+
 def lp_norm(spectrum: AutocorrelationSpectrum, p: float) -> float:
     """(sum_tau |b_tau|^p)^(1/p) over all stored entries, tau = 0 included; finite p >= 1."""
     require_exponent(p, 1, "lp_norm")
-    mags = np.abs(spectrum.values)
-    return float((mags**p).sum() ** (1.0 / p))
+    return float(power_sum(np.abs(spectrum.values), p) ** (1.0 / p))
 
 
 def bound_constant(n: int) -> float:

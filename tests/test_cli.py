@@ -409,3 +409,24 @@ def test_cli_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "12"
+
+
+def test_extremize_stdout_does_not_depend_on_blas_threads():
+    # the gradient's matvec runs in OpenBLAS; its thread count must not reach the report
+    import subprocess
+    import sys
+
+    import torus_spectra
+
+    src = os.path.dirname(os.path.dirname(torus_spectra.__file__))
+    outputs = set()
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "torus_spectra", "extremize", "--dim", "5", "--lambda", "5",
+             "--restarts", "8"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

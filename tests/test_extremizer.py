@@ -4,25 +4,30 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import brute_spectrum, normalized_coeffs
+from conftest import brute_spectrum, normalized_coeffs, run_cli
 
 from torus_spectra import (
+    AutocorrelationSpectrum,
     ContractError,
     EigenfunctionCoeffs,
     ExtremizerConfig,
+    PointLimitError,
     SphereShell,
     SpectrumEngine,
     bound_constant,
     enumerate_shell,
+    extremizer,
     finite_difference_gradient,
     gradient,
+    lattice,
+    lp_norm,
     maximize,
     objective,
     random_coeffs,
 )
 from torus_spectra import spectra
-from torus_spectra.extremizer import _ascend
-from torus_spectra.spectra import PairStructure
+from torus_spectra.extremizer import GRAD_ZERO_TOL, _ascend
+from torus_spectra.spectra import PairStructure, power_sum
 
 
 def brute_power(shell, points, p):
@@ -161,10 +166,19 @@ def test_config_validation():
         ExtremizerConfig(max_iters=0)
 
 
-def test_maximize_refuses_partial_shell():
+def test_maximize_refuses_partial_shell(monkeypatch):
     points = ((3, 4), (4, 3))
     partial = SphereShell(dim=2, lam=25, points=points, index=frozenset(points))
     with pytest.raises(ContractError, match="differ from the 12 points of shell"):
+        maximize(partial, 4.0, ExtremizerConfig(restarts=1, max_iters=10))
+    # when the enumeration stops at the cap, the subset is still refused for what it is
+    monkeypatch.setattr(lattice, "MAX_POINTS", 11)
+    with pytest.raises(ContractError, match=r"the 2 given points differ from the more than 11 "
+                                            r"points of shell\(2, 25\)"):
+        maximize(partial, 4.0, ExtremizerConfig(restarts=1, max_iters=10))
+    # a given shell longer than the cap cannot be checked, and meets the cap itself
+    monkeypatch.setattr(lattice, "MAX_POINTS", 1)
+    with pytest.raises(PointLimitError, match="more than 1 points"):
         maximize(partial, 4.0, ExtremizerConfig(restarts=1, max_iters=10))
 
 
@@ -348,3 +362,124 @@ def test_restarts_on_shell_5_5_leave_the_flat_start():
     for run in report.runs:
         assert run.iterations < 300 and run.stop != "max_iters"
         assert all(b > a for a, b in zip(run.history, run.history[1:]))
+
+
+# The unmasked power sums: every |b_tau|^p and |b_tau|^(p-2) through pow, as
+# numpy computes them with no mask. They are the oracle for `power_sum` and
+# `SpectrumEngine._weights`, which skip the terms that would underflow.
+
+
+def unmasked_power_sum(mags, p):
+    return (mags**p).sum()
+
+
+def unmasked_weights(self, b, mags, p):
+    if p == 2:
+        return p * b
+    scale = np.where(mags < GRAD_ZERO_TOL, 0.0, mags ** (p - 2))
+    return p * scale * b
+
+
+def unmasked_value_and_gradient(engine, a, p):
+    b = engine._pairs.accumulate(a)
+    mags = np.abs(b)
+    s = engine._pairs.size
+    matrix = engine._pairs.gather(unmasked_weights(None, b, mags, p)).reshape(s, s)
+    return float(unmasked_power_sum(mags, p)), 2.0 * (matrix @ a)
+
+
+def unmasked_lp_norm(spectrum, p):
+    return float(unmasked_power_sum(np.abs(spectrum.values), p) ** (1.0 / p))
+
+
+def bitwise_equal(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def assert_matches_unmasked(engine, a, p, same=bitwise_equal):
+    f, g = engine.power_value_and_gradient(a, p)
+    want_f, want_g = unmasked_value_and_gradient(engine, a, p)
+    assert same(f, want_f) and same(g, want_g)
+    assert same(engine.power_value(a, p), want_f)
+    spectrum = AutocorrelationSpectrum(dim=engine.shell.dim, lam=engine.shell.lam,
+                                       taus=engine._pairs.taus,
+                                       values=engine._pairs.accumulate(a))
+    assert same(lp_norm(spectrum, p), unmasked_lp_norm(spectrum, p))
+
+
+@pytest.mark.parametrize("dim,lam,p,restarts", [(5, 5, 5.0, 8), (2, 65, 4.0, 4)])
+def test_power_sums_equal_the_unmasked_ones_on_every_iterate(monkeypatch, dim, lam, p, restarts):
+    # the extremize workload's ascents, whose late iterates hold many b_tau
+    # below 1e-100; every evaluated vector, so every accepted iterate
+    shell = enumerate_shell(dim, lam)
+    seen = []
+    evaluate = SpectrumEngine.power_value_and_gradient
+
+    def recording(self, a, p):
+        seen.append(a.copy())
+        return evaluate(self, a, p)
+
+    monkeypatch.setattr(SpectrumEngine, "power_value_and_gradient", recording)
+    maximize(shell, p, ExtremizerConfig(restarts=restarts, seed=0))
+    monkeypatch.undo()
+    engine = SpectrumEngine(shell)
+    assert len(seen) > 100
+    skipped = 0
+    for a in seen:
+        assert_matches_unmasked(engine, a, p)
+        skipped += int((np.abs(engine._pairs.accumulate(a)) < 1e-100).any())
+    assert skipped > 0  # the mask has terms to skip
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 4.0, 5.0, 6.0])
+def test_power_sums_equal_the_unmasked_ones_on_tiny_amplitudes(p):
+    # four O(1) amplitudes, so b_0 ~ 1, and the rest 1e-80, 1e-160, 1e-320 and 0:
+    # products from 1e-80 down to subnormal and 0
+    engine = SpectrumEngine(enumerate_shell(5, 5))
+    rng = np.random.default_rng(5)
+    n = len(engine.points)
+    for phase in (1.0, np.exp(0.7j)):
+        a = np.resize(np.array([1e-80, 1e-160, 1e-320, 0.0], dtype=np.complex128), n) * phase
+        head = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        a[rng.choice(n, size=4, replace=False)] = head / np.linalg.norm(head)
+        assert_matches_unmasked(engine, a, p)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("p", [2.5, 5.0])
+def test_power_sums_propagate_inf_and_nan_as_the_unmasked_ones(bad, p):
+    engine = SpectrumEngine(enumerate_shell(2, 65))
+    a = np.resize(np.array([0.5, 1e-200, 0.0]), len(engine.points)).astype(np.complex128)
+    a[3] = bad
+    assert not math.isfinite(engine.power_value(a, p))
+    assert_matches_unmasked(engine, a, p, same=lambda x, y: np.array_equal(x, y, equal_nan=True))
+
+
+def test_power_sum_counts_terms_below_the_normal_range_as_zero():
+    # what the mask gives up, only where the whole sum is below 2.2e-308:
+    # pow returns subnormals here, which the helper leaves out
+    tiny = np.finfo(np.float64).tiny
+    for p in (2.0, 5.0):
+        floor = tiny ** (1 / p)
+        below, above = np.full(3, floor / 2), np.full(3, floor * 2)
+        assert power_sum(below, p) == 0.0 < unmasked_power_sum(below, p) < tiny
+        assert power_sum(above, p) == unmasked_power_sum(above, p) > tiny
+    assert math.isnan(power_sum(np.array([1.0, math.nan, 1e-200]), 3.0))
+    assert power_sum(np.array([1.0, math.inf, 1e-200]), 3.0) == math.inf
+
+
+@pytest.mark.parametrize("command", [
+    "extremize --dim 5 --lambda 5 --restarts 8",
+    "extremize --dim 2 --lambda 65 --p 4 --restarts 4",
+    "spectrum --dim 6 --lambda 6 --random gaussian",
+])
+def test_stdout_equals_the_unmasked_formulas(monkeypatch, command):
+    # no pinned hash: zgemv and SIMD pow kernels differ between CPUs, so the
+    # oracle is the same command on the same machine with every power unmasked
+    code, out, err = run_cli(command.split())
+    monkeypatch.setattr(spectra, "power_sum", unmasked_power_sum)
+    monkeypatch.setattr(extremizer, "power_sum", unmasked_power_sum)
+    monkeypatch.setattr(SpectrumEngine, "_weights", unmasked_weights)
+    assert (code, err) == (0, "")
+    assert run_cli(command.split()) == (code, out, err)

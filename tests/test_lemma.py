@@ -23,6 +23,7 @@ from torus_spectra import (
     ResourceLimitError,
     enumerate_shell,
     find_translates,
+    lattice,
     lemma,
     sweep_to_json,
     validate_simplex,
@@ -679,12 +680,20 @@ def test_unpackable_shell_is_refused():
         _Tables(SphereShell(dim=15, lam=9, points=tuple(points), index=frozenset(points)))
 
 
-def test_partial_shell_is_refused():
+def test_partial_shell_is_refused(monkeypatch):
     # 6 pairs and none antipodal: swept as given they would not report 2 antipodal
     points = ((0, 5), (3, 4), (4, 3), (5, 0))
     partial = SphereShell(dim=2, lam=25, points=points, index=frozenset(points))
     for kwargs in (dict(mode="exhaustive"), dict(mode="sampled", count=10)):
         with pytest.raises(ContractError, match="differ from the 12 points of shell"):
+            verify_lemma(partial, **kwargs)
+    # when the enumeration of uncached tables stops at the cap, the subset is
+    # still refused for what it is
+    monkeypatch.setattr(lattice, "MAX_POINTS", 11)
+    lemma._tables.cache_clear()
+    for kwargs in (dict(mode="exhaustive"), dict(mode="sampled", count=10)):
+        with pytest.raises(ContractError, match=r"the 4 given points differ from the more than "
+                                                r"11 points of shell\(2, 25\)"):
             verify_lemma(partial, **kwargs)
 
 
