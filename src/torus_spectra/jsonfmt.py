@@ -108,13 +108,11 @@ def _int_row_template(rows: list, indent: str, step: str) -> str | None:
 def dumps(obj, pretty: bool = True) -> str:
     step = "  " if pretty else ""
     colon = ": " if pretty else ":"
-    keys: dict[str, str] = {}  # key -> its quoted form and colon
 
     def key(k) -> str:
         if not isinstance(k, str):
             raise TypeError(f"JSON object keys must be strings, got {k!r}")
-        keys[k] = rendered = _quote(k) + colon
-        return rendered
+        return _quote(k) + colon
 
     def render(x, indent: str) -> str:
         t = type(x)
@@ -143,7 +141,7 @@ def dumps(obj, pretty: bool = True) -> str:
             return "{}" if isinstance(x, dict) else "[]"
         inner = indent + step
         if isinstance(x, dict):
-            items = [(keys.get(k) or key(k)) + render(v, inner) for k, v in x.items()]
+            items = [key(k) + render(v, inner) for k, v in x.items()]
             return "{" + inner + ("," + inner).join(items) + indent + "}"
         types = set(map(type, x))
         if types == {int}:

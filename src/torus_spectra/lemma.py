@@ -72,10 +72,10 @@ from .lattice import Point, SphereShell, enumerate_shell, negate, require_whole
 
 EXHAUSTIVE_GUARD = 10**7
 SAMPLE_ATTEMPT_FACTOR = 50
-# Elements handled at once: (subset, chord) pairs classified by the shared
-# kernel (see _classify), and (prefix, group element) or (prefix, point)
-# pairs, whichever are more, tested for canonical children (see
-# _canonical_sets).
+# Elements handled at once: (subset, chord) pairs a kernel batch is merged up
+# to (see _classify_buffered), (subset, point) pairs a sampled slice filters,
+# and (prefix, group element) or (prefix, point) pairs, whichever are more,
+# tested for canonical children (see _canonical_sets).
 CHUNK_ELEMENTS = 1 << 12
 
 
@@ -297,9 +297,9 @@ def _tables(dim: int, lam: int) -> _Tables:
 # subsets as an (L, m) index array and their candidate classes as flat
 # (subset, chord) arrays, and classifies every subset at once: antipodal by
 # comparing `neg` indices, degenerate by exact rank, then the non-edge count
-# of its candidates admissible at the vertices left to check. Callers keep
-# the flat arrays below CHUNK_ELEMENTS, so each temporary (32 KiB at 2^12
-# int64s) stays below glibc's 128 KiB mmap threshold and the heap is reused.
+# of its candidates admissible at the vertices left to check. A batch within
+# CHUNK_ELEMENTS keeps each temporary (32 KiB at 2^12 int64s) below glibc's
+# 128 KiB mmap threshold; one exhaustive chunk can exceed it (16,306 on shell(3,41)).
 
 
 def _affine_rank_reaches(points: np.ndarray, need: int) -> np.ndarray:
@@ -381,12 +381,13 @@ def _tally_fields(hist: Counter) -> dict:
 
 
 def _classify_buffered(tb: _Tables, blocks, start: int):
-    """Kernel outcomes of subsets arriving in blocks, classified CHUNK_ELEMENTS at a time.
+    """Kernel outcomes of subsets arriving in blocks, merged up to CHUNK_ELEMENTS a batch.
 
     Each block (S, seg, chords, w) holds subsets S, their candidates as in
     `_classify` with seg local to the block, and their weights w. Blocks are
-    buffered while the chunk costs at most CHUNK_ELEMENTS, one per subset
-    and one per candidate; yields (S, w, outcomes) for each chunk.
+    buffered while the chunk costs at most CHUNK_ELEMENTS, one per subset and
+    one per candidate, and a larger block goes alone; yields (S, w, outcomes)
+    for each chunk.
     """
 
     def chunk():
@@ -433,8 +434,8 @@ def _classify_buffered(tb: _Tables, blocks, start: int):
 # them antipodal-free, for C(96,4) = 3,321,960. The sweep takes the
 # generator's chunks as they come: each chunk of (m-1)-prefixes filters every
 # prefix's first vertex's chord keys through its other vertices at once, and
-# its leaves go to the shared kernel with their prefix's chords, whole leaves
-# to a block, where only the last vertex is left to filter. A violating
+# its leaves, with their prefix's chords, make one block for the shared
+# kernel, where only the last vertex is left to filter. A violating
 # canonical set stands for its orbit {sorted(h(S)) : h in H}.
 
 
@@ -559,14 +560,8 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
             seg, chords = tb.admissible(P)
             count = np.bincount(seg, minlength=len(P))
             first, count = (np.cumsum(count) - count)[owner], count[owner]  # the prefix's chords
-            end = np.cumsum(count + 1)  # a leaf costs one element and one per chord
-            lo = done = 0
-            while lo < len(leaves):  # whole leaves, CHUNK_ELEMENTS elements a block where they fit
-                hi = max(lo + 1, int(np.searchsorted(end, done + CHUNK_ELEMENTS, "right")))
-                c = count[lo:hi]
-                at = np.repeat(first[lo:hi] - np.cumsum(c) + c, c) + np.arange(c.sum())
-                yield leaves[lo:hi], np.repeat(np.arange(hi - lo), c), chords[at], weight[lo:hi]
-                lo, done = hi, end[hi - 1]
+            at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+            yield leaves, np.repeat(np.arange(len(leaves)), count), chords[at], weight
 
     for S, weight, out in _classify_buffered(tb, blocks(), m - 1):
         _tally(hist, out, weight)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -84,7 +83,7 @@ class AutocorrelationSpectrum:
     """Map tau -> b_tau, the Fourier coefficients of |phi|^2.
 
     Stored as aligned arrays (`taus` lexicographically sorted, `values`
-    complex); `entries` materializes the dict view on demand. Every stored
+    complex); `entries` builds the dict view on each access. Every stored
     tau is a difference of supported shell points, so |tau|^2 <= 4*lambda.
     """
 
@@ -93,7 +92,7 @@ class AutocorrelationSpectrum:
     taus: np.ndarray
     values: np.ndarray
 
-    @cached_property
+    @property
     def entries(self) -> dict[Point, complex]:
         return dict(zip(map(tuple, self.taus.tolist()), self.values.tolist()))
 
@@ -288,7 +287,10 @@ def power_sum(mags: np.ndarray, p: float) -> np.float64:
     every vector the tests try. Only a sum that is itself below the normal
     range can differ: it reads 0 where pow gives a subnormal. The mask is
     "not below the floor", so NaN and inf still reach pow and propagate.
+    At p = 2 numpy's pow squares by multiplying, so there is nothing to skip.
     """
+    if p == 2:
+        return (mags * mags).sum()
     keep = ~(mags < _TINY ** (1.0 / p))
     return np.power(mags, p, out=np.zeros_like(mags), where=keep).sum()
 

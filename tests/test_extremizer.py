@@ -458,12 +458,17 @@ def test_power_sums_propagate_inf_and_nan_as_the_unmasked_ones(bad, p):
 
 def test_power_sum_counts_terms_below_the_normal_range_as_zero():
     # what the mask gives up, only where the whole sum is below 2.2e-308:
-    # pow returns subnormals here, which the helper leaves out
+    # pow returns subnormals here, which the helper leaves out; p = 2 has no
+    # mask, so its subnormal sum is the unmasked one
     tiny = np.finfo(np.float64).tiny
-    for p in (2.0, 5.0):
+    for p in (2.0, 2.5, 5.0):
         floor = tiny ** (1 / p)
         below, above = np.full(3, floor / 2), np.full(3, floor * 2)
-        assert power_sum(below, p) == 0.0 < unmasked_power_sum(below, p) < tiny
+        if p == 2:
+            assert bitwise_equal(power_sum(below, p), unmasked_power_sum(below, p))
+            assert 0.0 < power_sum(below, p) < tiny
+        else:
+            assert power_sum(below, p) == 0.0 < unmasked_power_sum(below, p) < tiny
         assert power_sum(above, p) == unmasked_power_sum(above, p) > tiny
     assert math.isnan(power_sum(np.array([1.0, math.nan, 1e-200]), 3.0))
     assert power_sum(np.array([1.0, math.inf, 1e-200]), 3.0) == math.inf

@@ -653,15 +653,18 @@ def test_chunk_budget_does_not_change_reports(chunk, monkeypatch):
     assert _prefix_sequence(_canonical_sets(H, 4, neg)) == prefixes
 
 
-def test_exhaustive_sweep_peak_memory_stays_small():
-    """A warm B_4 sweep of shell(4,12) peaks below 4 MiB under tracemalloc.
+@pytest.mark.parametrize("dim,lam,m", [(4, 12, 4), (3, 41, 3), (3, 41, 4)])
+def test_exhaustive_sweep_peak_memory_stays_small(dim, lam, m):
+    """A warm B_n sweep peaks below 4 MiB under tracemalloc.
 
-    Levels of prefixes and their leaves are handled in chunks; handling a
-    level at once would peak at about 13 MiB.
+    Levels of prefixes are handled in chunks; handling a level of shell(4,12)
+    at once would peak at about 13 MiB. Each generator chunk's leaves reach
+    the kernel as one block, above CHUNK_ELEMENTS on shell(3,41) with m = 3
+    (16,306 elements), and still peak at about 1.6 MiB there.
     """
-    shell = enumerate_shell(4, 12)
-    _exhaustive(shell, 4, "signed-permutations")  # builds the tables and the group
-    peak, raised = peak_bytes_of(lambda: _exhaustive(shell, 4, "signed-permutations"))
+    shell = enumerate_shell(dim, lam)
+    _exhaustive(shell, m, "signed-permutations")  # builds the tables and the group
+    peak, raised = peak_bytes_of(lambda: _exhaustive(shell, m, "signed-permutations"))
     assert raised is None
     assert peak < 4 * 2**20
 
@@ -758,6 +761,24 @@ def test_known_budget_excess_on_4_12_is_reported_and_sound():
         verts = violation.simplex.vertices
         assert set(violation.translates) == full_scan_translates(shell, verts)
         assert sign_flip_degenerate(verts)
+
+
+@pytest.mark.parametrize("lam,violations,max_nonedge",
+                         [(3, 8, 9), (6, 960, 9), (7, 48, 9), (9, 280, 9), (11, 72, 9), (13, 168, 13)])
+def test_other_dim4_budget_excesses_are_sign_flip_degenerate(lam, violations, max_nonedge):
+    """The exhaustive sweep's other dim-4 excesses of the 2^(n-1) budget, pinned.
+
+    Within the guard, shell(4, lam) also exceeds the budget at these lam
+    (shell(4,12) is c05's). Every excess is sign-flip degenerate by the exact
+    oracle, and the first one's translates survive an independent full scan.
+    """
+    shell = enumerate_shell(4, lam)
+    report = verify_lemma(shell, mode="exhaustive")
+    assert len(report.violations) == violations
+    assert report.max_nonedge_count == max_nonedge
+    assert all(sign_flip_degenerate(v.simplex.vertices) for v in report.violations)
+    first = report.violations[0]
+    assert set(first.translates) == full_scan_translates(shell, first.simplex.vertices)
 
 
 def test_sign_flip_degenerate_oracle():
