@@ -72,10 +72,10 @@ from .lattice import Point, SphereShell, enumerate_shell, negate, require_whole
 
 EXHAUSTIVE_GUARD = 10**7
 SAMPLE_ATTEMPT_FACTOR = 50
-# Elements handled at once: (subset, chord) pairs a kernel batch is merged up
-# to (see _classify_buffered), (subset, point) pairs a sampled slice filters,
-# and (prefix, group element) or (prefix, point) pairs, whichever are more,
-# tested for canonical children (see _canonical_sets).
+# Elements handled at once: subsets and their (subset, chord) pairs in one
+# kernel batch (see _classify_buffered), (subset, point) pairs a sampled
+# slice filters, and (prefix, group element) or (prefix, point) pairs,
+# whichever are more, tested for canonical children (see _canonical_sets).
 CHUNK_ELEMENTS = 1 << 12
 
 
@@ -273,18 +273,18 @@ class _Tables:
         return self.keys[pos] == keys
 
     def admissible(self, S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Anchor chords of each row S[i] admissible at the rest of it, as flat (i, chord key).
+        """Anchor chords of each row S[i] admissible at the rest of it, as (count, chords).
 
         The chords of S[i] are key(S[i, 0]) - key(q), q != S[i, 0], one per
-        class; a row's kept chords come in the order of q.
+        class; its count[i] kept ones follow those of S[i - 1] in chords, in
+        the order of q.
         """
         chords = self.keys[S[:, :1]] - self.keys
         hit = chords != 0
         for col in range(1, S.shape[1]):
             k = self.keys[S[:, col, None]]
             hit &= self.on_shell(k - chords) | self.on_shell(k + chords)
-        seg, q = np.nonzero(hit)
-        return seg, chords[seg, q]
+        return hit.sum(1), chords[hit]
 
 
 @lru_cache(maxsize=4)
@@ -297,9 +297,9 @@ def _tables(dim: int, lam: int) -> _Tables:
 # subsets as an (L, m) index array and their candidate classes as flat
 # (subset, chord) arrays, and classifies every subset at once: antipodal by
 # comparing `neg` indices, degenerate by exact rank, then the non-edge count
-# of its candidates admissible at the vertices left to check. A batch within
-# CHUNK_ELEMENTS keeps each temporary (32 KiB at 2^12 int64s) below glibc's
-# 128 KiB mmap threshold; one exhaustive chunk can exceed it (16,306 on shell(3,41)).
+# of its candidates admissible at the vertices left to check. Its caller
+# keeps the flat arrays below CHUNK_ELEMENTS, so each temporary (32 KiB at 2^12
+# int64s) stays below glibc's 128 KiB mmap threshold and the heap is reused.
 
 
 def _affine_rank_reaches(points: np.ndarray, need: int) -> np.ndarray:
@@ -381,24 +381,37 @@ def _tally_fields(hist: Counter) -> dict:
 
 
 def _classify_buffered(tb: _Tables, blocks, start: int):
-    """Kernel outcomes of subsets arriving in blocks, merged up to CHUNK_ELEMENTS a batch.
+    """Kernel outcomes of subsets arriving in blocks, classified CHUNK_ELEMENTS at a time.
 
-    Each block (S, seg, chords, w) holds subsets S, their candidates as in
-    `_classify` with seg local to the block, and their weights w. Blocks are
-    buffered while the chunk costs at most CHUNK_ELEMENTS, one per subset and
-    one per candidate, and a larger block goes alone; yields (S, w, outcomes)
-    for each chunk.
+    Each block (S, first, count, chords, w) holds subsets S, their weights w
+    and their candidates as in `_classify`, those of S[i] in chords[first[i] :
+    first[i] + count[i]]; with first None, the block lists them subset by
+    subset and costs at most CHUNK_ELEMENTS. A subset costs one element and
+    one per candidate; other blocks are cut into runs of whole subsets, and
+    the runs are buffered while the chunk costs at most CHUNK_ELEMENTS (a
+    costlier subset goes alone); yields (S, w, outcomes) for each chunk.
     """
 
+    def runs():
+        for S, first, count, chords, w in blocks:
+            if first is None:
+                yield S, count, chords, w
+                continue
+            end = np.cumsum(count + 1)
+            lo = done = 0
+            while lo < len(S):
+                hi = max(lo + 1, int(np.searchsorted(end, done + CHUNK_ELEMENTS, "right")))
+                c = count[lo:hi]
+                at = np.repeat(first[lo:hi] - np.cumsum(c) + c, c) + np.arange(c.sum())
+                yield S[lo:hi], c, chords[at], w[lo:hi]
+                lo, done = hi, end[hi - 1]
+
     def chunk():
-        S = np.concatenate([b[0] for b in buf])
-        first = np.cumsum([0] + [len(b[0]) for b in buf]).tolist()
-        seg = np.concatenate([b[1] + i for b, i in zip(buf, first)])
-        chords = np.concatenate([b[2] for b in buf])
-        return S, np.concatenate([b[3] for b in buf]), _classify(tb, S, seg, chords, start)
+        S, count, chords, w = map(np.concatenate, zip(*buf))
+        return S, w, _classify(tb, S, np.repeat(np.arange(len(S)), count), chords, start)
 
     buf, size = [], 0
-    for block in blocks:
+    for block in runs():
         cost = len(block[0]) + len(block[2])
         if buf and size + cost > CHUNK_ELEMENTS:
             yield chunk()
@@ -434,8 +447,9 @@ def _classify_buffered(tb: _Tables, blocks, start: int):
 # them antipodal-free, for C(96,4) = 3,321,960. The sweep takes the
 # generator's chunks as they come: each chunk of (m-1)-prefixes filters every
 # prefix's first vertex's chord keys through its other vertices at once, and
-# its leaves, with their prefix's chords, make one block for the shared
-# kernel, where only the last vertex is left to filter. A violating
+# its leaves, pointing at their prefix's chords, make one block that
+# `_classify_buffered` expands a batch at a time, where only the last vertex
+# is left to filter. A violating
 # canonical set stands for its orbit {sorted(h(S)) : h in H}.
 
 
@@ -556,12 +570,9 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
     def blocks():
         for P, owner, J, stab in _canonical_sets(H, m, tb.neg):
             leaves = np.concatenate([P[owner], J[:, None]], axis=1)
-            weight = len(H) // stab
-            seg, chords = tb.admissible(P)
-            count = np.bincount(seg, minlength=len(P))
-            first, count = (np.cumsum(count) - count)[owner], count[owner]  # the prefix's chords
-            at = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-            yield leaves, np.repeat(np.arange(len(leaves)), count), chords[at], weight
+            count, chords = tb.admissible(P)
+            first = np.cumsum(count) - count  # where each prefix's chords start
+            yield leaves, first[owner], count[owner], chords, len(H) // stab
 
     for S, weight, out in _classify_buffered(tb, blocks(), m - 1):
         _tally(hist, out, weight)
@@ -605,7 +616,7 @@ def _classify_drawn(tb: _Tables, S: np.ndarray) -> np.ndarray:
         step = max(1, CHUNK_ELEMENTS // tb.n)
         for lo in range(0, len(S), step):
             part = S[lo : lo + step]
-            yield part, *tb.admissible(part[:, :2]), np.ones(len(part), dtype=np.int64)
+            yield part, None, *tb.admissible(part[:, :2]), np.ones(len(part), dtype=np.int64)
 
     return np.concatenate([out for _, _, out in _classify_buffered(tb, blocks(), 2)])
 

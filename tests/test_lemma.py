@@ -653,14 +653,18 @@ def test_chunk_budget_does_not_change_reports(chunk, monkeypatch):
     assert _prefix_sequence(_canonical_sets(H, 4, neg)) == prefixes
 
 
-@pytest.mark.parametrize("dim,lam,m", [(4, 12, 4), (3, 41, 3), (3, 41, 4)])
+@pytest.mark.parametrize(
+    "dim,lam,m", [(4, 12, 4), (3, 41, 3), (3, 41, 4), (2, 5 * 13 * 17 * 29 * 37 * 41, 2)]
+)
 def test_exhaustive_sweep_peak_memory_stays_small(dim, lam, m):
     """A warm B_n sweep peaks below 4 MiB under tracemalloc.
 
     Levels of prefixes are handled in chunks; handling a level of shell(4,12)
-    at once would peak at about 13 MiB. Each generator chunk's leaves reach
-    the kernel as one block, above CHUNK_ELEMENTS on shell(3,41) with m = 3
-    (16,306 elements), and still peak at about 1.6 MiB there.
+    at once would peak at about 13 MiB. A generator chunk's (leaf, chord)
+    pairs are expanded one kernel batch at a time: on shell(3,41) with m = 3
+    one chunk holds 16,306 of them, and on the 256-point dim-2 shell, where a
+    single-point prefix filters no chord, one chunk holds 790,528; held
+    at once they would peak at about 1.6 and 69 MiB.
     """
     shell = enumerate_shell(dim, lam)
     _exhaustive(shell, m, "signed-permutations")  # builds the tables and the group
