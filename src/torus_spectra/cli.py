@@ -16,7 +16,7 @@ import sys
 
 from . import jsonfmt
 from .errors import TorusSpectraError
-from .extremizer import ExtremizerConfig, maximize, report_passes_bound
+from .extremizer import ExtremizerConfig, maximize
 from .lattice import enumerate_shell, shell_to_json
 from .lemma import sweep_to_json, verify_lemma
 from .spectra import (
@@ -65,7 +65,7 @@ def cmd_shell(args) -> int:
 
 def cmd_spectrum(args) -> int:
     shell = enumerate_shell(args.dim, args.lam)
-    p = float(args.p) if args.p is not None else float(shell.dim)
+    p = args.p if args.p is not None else float(shell.dim)
     require_exponent(p, 1, "spectrum")
     if args.coeffs is not None:
         try:
@@ -109,12 +109,12 @@ def cmd_lemma(args) -> int:
 
 def cmd_extremize(args) -> int:
     shell = enumerate_shell(args.dim, args.lam)
-    p = float(args.p) if args.p is not None else float(shell.dim)
+    p = args.p if args.p is not None else float(shell.dim)
     cfg = ExtremizerConfig(
         restarts=args.restarts, max_iters=args.iters, seed=args.seed
     )
     report = maximize(shell, p, cfg)
-    passed = report_passes_bound(report)
+    bound, passed = bound_verdict(shell.dim, p, report.best_value)
     coeffs_obj = coeffs_to_json(report.best_coeffs)
     _emit(
         {
@@ -122,8 +122,8 @@ def cmd_extremize(args) -> int:
             "lambda": shell.lam,
             "p": p,
             "best_value": report.best_value,
-            "bound": report.bound_value,
-            "gap": None if report.bound_value is None else report.bound_value - report.best_value,
+            "bound": bound,
+            "gap": None if bound is None else bound - report.best_value,
             "converged": report.converged,
             "restarts": report.restarts,
             "coeffs": coeffs_obj["coeffs"],
@@ -172,18 +172,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "every command runs in one process")
     common.add_argument("--json", action="store_true",
                         help="compact single-line JSON instead of pretty-printed")
+    with_dim = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_dim.add_argument("--dim", type=int, required=True)
+    one_shell = argparse.ArgumentParser(add_help=False, parents=[with_dim])
+    one_shell.add_argument("--lambda", dest="lam", type=int, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_shell = sub.add_parser("shell", parents=[common], help="enumerate a lattice shell")
-    p_shell.add_argument("--dim", type=int, required=True)
-    p_shell.add_argument("--lambda", dest="lam", type=int, required=True)
+    p_shell = sub.add_parser("shell", parents=[one_shell], help="enumerate a lattice shell")
     p_shell.add_argument("--count-only", action="store_true", help="print only the point count")
     p_shell.set_defaults(fn=cmd_shell)
 
-    p_spec = sub.add_parser("spectrum", parents=[common],
+    p_spec = sub.add_parser("spectrum", parents=[one_shell],
                             help="autocorrelation spectrum and l^p bound check")
-    p_spec.add_argument("--dim", type=int, required=True)
-    p_spec.add_argument("--lambda", dest="lam", type=int, required=True)
     src = p_spec.add_mutually_exclusive_group(required=True)
     src.add_argument("--coeffs", metavar="FILE", help="coefficient file (JSON)")
     src.add_argument("--random", metavar="MODE",
@@ -194,9 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accept badly normalized coefficient files")
     p_spec.set_defaults(fn=cmd_spectrum)
 
-    p_lem = sub.add_parser("lemma", parents=[common], help="translate-budget sweep")
-    p_lem.add_argument("--dim", type=int, required=True)
-    p_lem.add_argument("--lambda", dest="lam", type=int, required=True)
+    p_lem = sub.add_parser("lemma", parents=[one_shell], help="translate-budget sweep")
     p_lem.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p_lem.add_argument("--count", type=int, default=10000,
                        help="valid simplices to check in sampled mode")
@@ -205,19 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check dim + E points against the same budget")
     p_lem.set_defaults(fn=cmd_lemma)
 
-    p_ext = sub.add_parser("extremize", parents=[common],
+    p_ext = sub.add_parser("extremize", parents=[one_shell],
                            help="maximize the l^p spectrum norm on the amplitude sphere")
-    p_ext.add_argument("--dim", type=int, required=True)
-    p_ext.add_argument("--lambda", dest="lam", type=int, required=True)
     p_ext.add_argument("--p", type=float, default=None, help="norm exponent (default: dim)")
     p_ext.add_argument("--restarts", type=int, default=10)
     p_ext.add_argument("--iters", type=int, default=5000)
     p_ext.add_argument("--seed", type=int, default=0)
     p_ext.set_defaults(fn=cmd_extremize)
 
-    p_sw = sub.add_parser("sweep", parents=[common],
+    p_sw = sub.add_parser("sweep", parents=[with_dim],
                           help="per-lambda CSV of norms, bounds and translate counts")
-    p_sw.add_argument("--dim", type=int, required=True)
     p_sw.add_argument("--lambda-min", type=int, required=True)
     p_sw.add_argument("--lambda-max", type=int, required=True)
     p_sw.add_argument("--out", metavar="FILE.csv", default=None)

@@ -59,7 +59,6 @@ from .spectra import (
     EigenfunctionCoeffs,
     applicable_bound,
     autocorrelation,
-    bound_verdict,
     lp_norm,
     pair_structure,
     power_sum,
@@ -305,7 +304,3 @@ def maximize(
         restarts=cfg.restarts,
         runs=tuple(runs) if keep_history else None,
     )
-
-
-def report_passes_bound(report: ExtremalReport) -> bool:
-    return bound_verdict(report.best_coeffs.shell.dim, report.p, report.best_value)[1]

@@ -51,7 +51,6 @@ re-derived through the reference path. Sweeps run in the calling process.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -359,24 +358,23 @@ def _classify(
     return out
 
 
-def _tally(hist: Counter, out: np.ndarray, weight) -> None:
-    """Add each kernel outcome in out to the tally with its weight (an array, or 1)."""
-    vals, inv = np.unique(out, return_inverse=True)
-    sums = np.zeros(len(vals), dtype=np.int64)
-    np.add.at(sums, inv, weight)
-    for v, c in zip(vals.tolist(), sums.tolist()):
-        hist[v] += c
+def _sweep_fields(shell: SphereShell, hist: np.ndarray, rows) -> dict:
+    """Report fields of a sweep: hist[o + 2] weighs kernel outcome o, rows index the violations.
 
-
-def _tally_fields(hist: Counter) -> dict:
-    """Report fields of a tally of kernel outcomes: -1 antipodal, -2 degenerate, else checked."""
-    counts = {k: v for k, v in sorted(hist.items()) if k >= 0}
+    Outcome -2 is degenerate, -1 antipodal, and o >= 0 a checked subset with o
+    non-edge classes. An exhaustive sum is at most C(N, m), which the guard
+    keeps far below 2^63, and a sampled one at most the attempts, so the int64
+    tally is exact.
+    """
+    seen = np.flatnonzero(hist[2:])
+    counts = dict(zip(seen.tolist(), hist[2:][seen].tolist()))
     return dict(
         simplices_checked=sum(counts.values()),
-        skipped_degenerate=hist[-2],
-        skipped_antipodal=hist[-1],
+        skipped_degenerate=int(hist[0]),
+        skipped_antipodal=int(hist[1]),
         max_nonedge_count=max(counts, default=0),
         histogram=counts,
+        violations=_reference_reports(shell, [tuple(shell.points[i] for i in r) for r in rows]),
     )
 
 
@@ -564,7 +562,8 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
     dim, lam, n = shell.dim, shell.lam, len(shell)
     tb = _tables(dim, lam)
     H = _group(dim, lam, kind)
-    hist = Counter({-1: comb(n, m) - 2**m * comb(n // 2, m)})
+    hist = np.zeros(n + 2, dtype=np.int64)  # outcomes -2 to N - 1
+    hist[1] = comb(n, m) - 2**m * comb(n // 2, m)  # raises OverflowError rather than wrap
     found = set()
 
     def blocks():
@@ -575,11 +574,10 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
             yield leaves, first[owner], count[owner], chords, len(H) // stab
 
     for S, weight, out in _classify_buffered(tb, blocks(), m - 1):
-        _tally(hist, out, weight)
+        np.add.at(hist, out + 2, weight)
         for row in S[out > 2 ** (dim - 1)]:
             found.update(map(tuple, np.sort(H[:, row], axis=1).tolist()))
-    violations = [tuple(shell.points[i] for i in S) for S in sorted(found)]
-    return dict(**_tally_fields(hist), violations=_reference_reports(shell, violations))
+    return _sweep_fields(shell, hist, sorted(found))
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +672,8 @@ def verify_lemma(
     tables = require_whole(shell, _tables, "sweep the enumerated shell")
     if n < m or (mode == "exhaustive" and 2 * m > n):
         # every m-subset, if any, holds one of the n/2 antipodal pairs
-        return LemmaSweepReport(**base, **_tally_fields(Counter({-1: comb(n, m)})), violations=())
+        hist = np.array([0, comb(n, m)], dtype=np.int64)
+        return LemmaSweepReport(**base, **_sweep_fields(shell, hist, ()))
 
     if mode == "exhaustive":
         # B_n when it has no more rows than there are (m-1)-subsets and its tables
@@ -688,7 +687,7 @@ def verify_lemma(
     rng = np.random.default_rng(seed)
     cap = SAMPLE_ATTEMPT_FACTOR * count
     checked = attempts = 0
-    hist: Counter = Counter()
+    hist = np.zeros(n + 2, dtype=np.int64)
     viol: list[list[int]] = []
     while checked < count and attempts < cap:
         want = min(cap - attempts, max(1024, count - checked + (count - checked) // 8))
@@ -701,13 +700,9 @@ def verify_lemma(
             S, out = S[:stop], out[:stop]
         attempts += len(out)
         checked += int((out >= 0).sum())
-        _tally(hist, out, 1)
+        np.add.at(hist, out + 2, 1)
         viol += S[out > budget].tolist()
-    viol_subsets = [tuple(shell.points[i] for i in row) for row in viol]
-    return LemmaSweepReport(
-        **base, **_tally_fields(hist), violations=_reference_reports(shell, viol_subsets),
-        attempts=attempts,
-    )
+    return LemmaSweepReport(**base, **_sweep_fields(shell, hist, viol), attempts=attempts)
 
 
 def translate_report_to_json(report: TranslateReport) -> dict:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import expand_records, reference_dumps, run_cli
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torus_spectra import cli, coeffs_to_json, enumerate_shell, jsonfmt, random_coeffs
@@ -100,6 +100,12 @@ def test_integer_rows_render_as_the_reference_writer(rows):
     for obj in (rows, tuple(rows), {"points": rows}, [rows, rows]):
         assert_parity(obj)
 
+
+class Label(str):
+    """A user str subclass: it renders as the string it holds."""
+
+
+str_subclasses = st.one_of(st.text().map(Label), st.text().map(np.str_))
 scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -112,8 +118,10 @@ scalars = st.one_of(
     st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
     st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    str_subclasses,
 )
-keys = st.one_of(st.text(), st.sampled_from(["tau", "re", "im", '"q"', "\\", "\x7f", "ü"]))
+keys = st.one_of(st.text(), st.sampled_from(["tau", "re", "im", '"q"', "\\", "\x7f", "ü"]),
+                 str_subclasses)
 
 
 def containers(children):
@@ -128,6 +136,7 @@ def containers(children):
 
 @settings(max_examples=300, deadline=None)
 @given(st.recursive(scalars, containers, max_leaves=40))
+@example({Label("k"): [Label('a"\n'), np.str_("é")], np.str_("q"): Label("")})
 def test_nested_values_render_as_the_reference_writer(obj):
     for pretty in (True, False):
         assert jsonfmt.dumps(obj, pretty) == reference_dumps(obj, pretty)

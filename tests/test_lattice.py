@@ -104,6 +104,12 @@ def test_contains_and_dimension_mismatch():
         contains(shell, (1, 2, 3))
 
 
+def test_in_operator_agrees_with_contains():
+    shell = enumerate_shell(2, 25)
+    box = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    assert {p for p in box if p in shell} == {p for p in box if contains(shell, p)} == set(shell.points)
+
+
 def test_contains_matches_linear_scan():
     shell = enumerate_shell(3, 41)
     for p in shell.points:

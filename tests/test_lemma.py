@@ -403,6 +403,20 @@ def test_more_vertices_than_antipodal_pairs():
     assert (at.simplices_checked, at.skipped_antipodal, at.skipped_degenerate) == (16, 54, 0)
 
 
+@pytest.mark.parametrize("dim,lam,kwargs", [
+    (2, 5, dict(extra_points=5)),  # m = 7 > N/2: the early return
+    (4, 12, dict()),
+    (4, 12, dict(mode="sampled", count=5000)),
+], ids=["early-return", "exhaustive", "sampled"])
+def test_report_counts_are_python_ints(dim, lam, kwargs):
+    report = verify_lemma(enumerate_shell(dim, lam), **kwargs)
+    counts = [report.simplices_checked, report.skipped_degenerate, report.skipped_antipodal,
+              report.max_nonedge_count, report.attempts]
+    assert all(type(c) is int for c in counts)
+    assert all(type(k) is int and type(v) is int for k, v in report.histogram.items())
+    assert list(report.histogram) == sorted(report.histogram)
+
+
 def test_empty_and_tiny_shells():
     report = verify_lemma(enumerate_shell(2, 3), mode="exhaustive")
     assert report.simplices_checked == 0
