@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .lattice import Point, SphereShell, enumerate_shell, require_whole
+from .lattice import Point, SphereShell, require_whole
 from .spectra import (
     EigenfunctionCoeffs,
     applicable_bound,
@@ -275,7 +275,7 @@ def maximize(
     if len(shell) == 0:
         raise ContractError(f"shell({shell.dim}, {shell.lam}) is empty")
     require_exponent(p, 2, "maximize")
-    require_whole(shell, enumerate_shell, "pass the enumerated shell and restrict with support=")
+    require_whole(shell, "pass the enumerated shell and restrict with support=")
     cfg = config or ExtremizerConfig()
     engine = SpectrumEngine(shell, support)
     points = engine.points

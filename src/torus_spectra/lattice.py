@@ -10,10 +10,8 @@ other module builds on them.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import TypeVar
 
 from .errors import ContractError, PointLimitError, RangeError
 
@@ -80,6 +78,11 @@ def enumerate_shell(dim: int, lam: int) -> SphereShell:
     Raises RangeError unless 2 <= dim <= 16 and 0 <= lam <= 2**40, and
     PointLimitError as soon as more than MAX_POINTS points are found.
     """
+    return _enumerate(dim, lam, MAX_POINTS)
+
+
+def _enumerate(dim: int, lam: int, limit: int) -> SphereShell:
+    """`enumerate_shell`, stopping with PointLimitError once more than `limit` points are found."""
     if not MIN_DIM <= dim <= MAX_DIM:
         raise RangeError(f"dim must be in [{MIN_DIM}, {MAX_DIM}], got {dim}")
     if not 0 <= lam <= MAX_LAMBDA:
@@ -100,10 +103,10 @@ def enumerate_shell(dim: int, lam: int) -> SphereShell:
                     points.append(tuple(coords))
                     coords[i] = r
                     points.append(tuple(coords))
-                if len(points) > MAX_POINTS:
+                if len(points) > limit:
                     points.clear()  # descend's closure is a cycle: free the points now
                     raise PointLimitError(
-                        f"shell({dim}, {lam}) has more than {MAX_POINTS} points, "
+                        f"shell({dim}, {lam}) has more than {limit} points, "
                         "above the enumeration guard"
                     )
             return
@@ -117,30 +120,26 @@ def enumerate_shell(dim: int, lam: int) -> SphereShell:
     return SphereShell(dim=dim, lam=lam, points=pts, index=frozenset(pts))
 
 
-T = TypeVar("T")
+def require_whole(shell: SphereShell, advice: str) -> None:
+    """Refuse `shell` with a ContractError, naming both counts, unless it is all of shell(dim, lam).
 
-
-def require_whole(shell: SphereShell, build: Callable[[int, int], T], advice: str) -> T:
-    """build(dim, lam), from the enumerated shell, once `shell` is shown to be all of it.
-
-    `build` enumerates shell(dim, lam) and returns an object holding its
-    `points`. A hand-built subset is refused with a ContractError that names
-    both counts, also when the enumeration stops at MAX_POINTS: a given
-    shell no longer than that cannot be the whole one.
+    The enumeration stops as soon as it finds more points than `shell`
+    holds, so a hand-built subset is refused without enumerating the whole
+    shell, and the message then counts "more than len(shell)". A given shell
+    longer than MAX_POINTS meets the enumeration guard (PointLimitError).
     """
     try:
-        whole = build(shell.dim, shell.lam)
+        whole = _enumerate(shell.dim, shell.lam, min(len(shell), MAX_POINTS))
     except PointLimitError:
         if len(shell) > MAX_POINTS:
             raise
         whole = None
     if whole is None or shell.points != whole.points:
-        count = f"more than {MAX_POINTS}" if whole is None else len(whole.points)
+        count = f"more than {len(shell)}" if whole is None else len(whole.points)
         raise ContractError(
             f"the {len(shell)} given points differ from the {count} points of "
             f"shell({shell.dim}, {shell.lam}); {advice}"
         )
-    return whole
 
 
 def contains(shell: SphereShell, p: Point) -> bool:

@@ -29,9 +29,9 @@ binary search of the keys elsewhere. The anchor's candidate classes need
 no deduplication, because distinct shell points q give distinct classes
 +-(v_1 - q): q + q' = 2 v_1 forces q = q' = v_1 on a sphere. A sweep over a
 shell whose keys do not fit in int64 is refused by `pack_spec`.
-Single simplices (`find_translates`) and the re-derivation of every
-violation use the reference path instead: plain set membership,
-independent of the keys.
+Single simplices (`find_translates`), sampled violations and one
+representative of each exhaustive violation orbit use the reference path
+instead: plain set membership, independent of the keys.
 
 Every subset is classified antipodal first, then degenerate (affine rank
 below n - 1), then checked, so each tally depends on the subset alone.
@@ -45,8 +45,9 @@ tallies, when B_n has more elements than there are (m-1)-subsets or a table
 above TABLE_BYTES. The canonical subsets are generated a level of prefixes
 at a time, each level tested in chunks by array operations over (prefix,
 group element) pairs, so the cost is a few numpy calls per chunk rather
-than per prefix. Each violation found stands for its orbit, every member
-re-derived through the reference path. Sweeps run in the calling process.
+than per prefix. Each violation found stands for its orbit: it is
+re-derived through the reference path once, and every other member's report
+is its exact image under a group element. Sweeps run in the calling process.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from operator import sub
 
 import numpy as np
 
-from ._packing import TABLE_BYTES, pack_rows, pack_spec
+from ._packing import TABLE_BYTES, pack_rows, pack_spec, unpack_keys
 from .errors import (
     AntipodalError,
     ContractError,
@@ -188,8 +189,9 @@ def _translate_sets(
     coordinate is negative are negated) and kept as a set of plain tuples;
     `classes` keeps each vertex's set across calls. The edge classes are the
     chords a - b of two vertices a > b, in lexicographic order, which makes
-    a - b its own canonical representative. Used for single simplices and
-    to re-derive sweep findings independently of the packed-key fast path.
+    a - b its own canonical representative. Used for single simplices,
+    sampled violations and one representative of each exhaustive violation
+    orbit, independently of the packed-key fast path.
     """
     classes = {} if classes is None else classes
     missing = [v for v in verts if v not in classes]
@@ -215,18 +217,18 @@ def find_translates(simplex: Simplex) -> TranslateReport:
     return _reference_reports(simplex.shell, [simplex.vertices])[0]
 
 
+def _report(shell: SphereShell, verts, translates, edges) -> TranslateReport:
+    budget = 2 ** (shell.dim - 1)
+    return TranslateReport(
+        simplex=Simplex(shell, verts), translates=translates, edge_translates=edges,
+        budget=budget, violated=len(translates) - len(edges) > budget,
+    )
+
+
 def _reference_reports(shell: SphereShell, subsets) -> tuple[TranslateReport, ...]:
     """Reference-path reports of vertex tuples, one class set per distinct vertex."""
     classes: dict[Point, set[Point]] = {}
-    budget = 2 ** (shell.dim - 1)
-    reports = []
-    for verts in subsets:
-        translates, edges = _translate_sets(shell, verts, classes)
-        reports.append(TranslateReport(
-            simplex=Simplex(shell, verts), translates=translates, edge_translates=edges,
-            budget=budget, violated=len(translates) - len(edges) > budget,
-        ))
-    return tuple(reports)
+    return tuple(_report(shell, v, *_translate_sets(shell, v, classes)) for v in subsets)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +360,8 @@ def _classify(
     return out
 
 
-def _sweep_fields(shell: SphereShell, hist: np.ndarray, rows) -> dict:
-    """Report fields of a sweep: hist[o + 2] weighs kernel outcome o, rows index the violations.
+def _sweep_fields(hist: np.ndarray, violations: tuple[TranslateReport, ...]) -> dict:
+    """Report fields of a sweep: hist[o + 2] weighs kernel outcome o.
 
     Outcome -2 is degenerate, -1 antipodal, and o >= 0 a checked subset with o
     non-edge classes. An exhaustive sum is at most C(N, m), which the guard
@@ -374,7 +376,7 @@ def _sweep_fields(shell: SphereShell, hist: np.ndarray, rows) -> dict:
         skipped_antipodal=int(hist[1]),
         max_nonedge_count=max(counts, default=0),
         histogram=counts,
-        violations=_reference_reports(shell, [tuple(shell.points[i] for i in r) for r in rows]),
+        violations=violations,
     )
 
 
@@ -447,8 +449,8 @@ def _classify_buffered(tb: _Tables, blocks, start: int):
 # prefix's first vertex's chord keys through its other vertices at once, and
 # its leaves, pointing at their prefix's chords, make one block that
 # `_classify_buffered` expands a batch at a time, where only the last vertex
-# is left to filter. A violating
-# canonical set stands for its orbit {sorted(h(S)) : h in H}.
+# is left to filter. A violating canonical set stands for its orbit
+# {sorted(h(S)) : h in H}, whose reports `_orbit_reports` maps from its own.
 
 
 @lru_cache(maxsize=4)
@@ -564,7 +566,7 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
     H = _group(dim, lam, kind)
     hist = np.zeros(n + 2, dtype=np.int64)  # outcomes -2 to N - 1
     hist[1] = comb(n, m) - 2**m * comb(n // 2, m)  # raises OverflowError rather than wrap
-    found = set()
+    reps = []
 
     def blocks():
         for P, owner, J, stab in _canonical_sets(H, m, tb.neg):
@@ -575,9 +577,53 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
 
     for S, weight, out in _classify_buffered(tb, blocks(), m - 1):
         np.add.at(hist, out + 2, weight)
-        for row in S[out > 2 ** (dim - 1)]:
-            found.update(map(tuple, np.sort(H[:, row], axis=1).tolist()))
-    return _sweep_fields(shell, hist, sorted(found))
+        reps += S[out > 2 ** (dim - 1)].tolist()
+    return _sweep_fields(hist, _orbit_reports(shell, tb, H, reps))
+
+
+def _orbit_reports(
+    shell: SphereShell, tb: _Tables, H: np.ndarray, reps
+) -> tuple[TranslateReport, ...]:
+    """Reports of every member of the orbits {sorted(h(R)) : h in H} of the rows reps, in index order.
+
+    Each R goes through the reference path once. An element h maps the
+    shell onto itself, so it maps R's class t = +-(v_0 - q), v_0 R's anchor
+    and q the one shell point among v_0 -+ t, onto h(R)'s class
+    +-(h(v_0) - h(q)), and R's edge classes onto h(R)'s. That class is the
+    chord key |key(h(v_0)) - key(h(q))|, and a member's keys sorted are its
+    classes in lexicographic order; each distinct key is unpacked once, to
+    one tuple that every report holding the class shares.
+    """
+    k0 = (tb.spec[1] ** tb.dim - 1) // 2  # the key of 0
+    classes: dict[Point, set[Point]] = {}
+    rows, keys, edge_keys = [], [], []
+    for R in reps:
+        translates, edges = _translate_sets(shell, tuple(shell.points[i] for i in R), classes)
+        c = pack_rows(np.array(translates, dtype=np.int64), *tb.spec) - k0
+        q = tb.keys[R[0]] - c  # key(v_0 - t), else key(v_0 + t) = q + 2c is on the shell
+        q = np.searchsorted(tb.keys, np.where(tb.on_shell(q), q, q + 2 * c))
+        images = np.sort(H[:, R], axis=1)
+        h = np.lexsort(images.T[::-1])
+        images = images[h]
+        first = np.r_[True, (images[1:] != images[:-1]).any(1)]  # one h per member
+        member, h = images[first], h[first]
+        chords = np.abs(tb.keys[H[h, R[0], None]] - tb.keys[H[h[:, None], q]])
+        rows.append(member)
+        keys += np.sort(chords, axis=1).tolist()
+        edge_keys += np.sort(chords[:, [t in edges for t in translates]], axis=1).tolist()
+    if not rows:
+        return ()
+    distinct = sorted({k for ks in keys for k in ks})
+    cls = dict(zip(distinct, map(tuple, unpack_keys(np.array(distinct) + k0, tb.dim, *tb.spec)
+                                 .tolist())))
+    rows = np.concatenate(rows)
+    order = np.lexsort(rows.T[::-1])
+    point, get = shell.points.__getitem__, cls.__getitem__
+    return tuple(
+        _report(shell, tuple(map(point, row)), tuple(map(get, keys[i])),
+                tuple(map(get, edge_keys[i])))
+        for i, row in zip(order.tolist(), rows[order].tolist())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +687,13 @@ def verify_lemma(
     >= 0, until `count` valid simplices have been checked (or a 50x attempt
     cap is hit). Invalid subsets are skipped and tallied by reason, antipodal
     checked before degeneracy in both modes. Each exhaustive violation is
-    expanded over its orbit and the union listed in index order. Both modes
-    run in the calling process; `threads` is accepted and changes nothing. The
-    result is deterministic for a fixed seed; violations, if any exist, are
-    re-derived through the reference membership path and preserved verbatim.
+    expanded over its orbit and the union listed in index order: one
+    representative per orbit is re-derived through the reference membership
+    path, and each other member's report is its image under a group element.
+    Sampled violations are each re-derived through the reference path. Both
+    modes run in the calling process; `threads` is accepted and changes
+    nothing. The result is deterministic for a fixed seed, and violations, if
+    any exist, are preserved verbatim.
     `shell` must be the whole enumerated shell: the sweep's tables come from
     enumerating (dim, lam), so a hand-built subset is refused.
     """
@@ -669,11 +718,12 @@ def verify_lemma(
             f"{comb(n, m)} subsets of size {m} exceed the exhaustive guard of "
             f"{EXHAUSTIVE_GUARD}; use sampled mode"
         )
-    tables = require_whole(shell, _tables, "sweep the enumerated shell")
+    require_whole(shell, "sweep the enumerated shell")
+    tables = _tables(shell.dim, shell.lam)
     if n < m or (mode == "exhaustive" and 2 * m > n):
         # every m-subset, if any, holds one of the n/2 antipodal pairs
         hist = np.array([0, comb(n, m)], dtype=np.int64)
-        return LemmaSweepReport(**base, **_sweep_fields(shell, hist, ()))
+        return LemmaSweepReport(**base, **_sweep_fields(hist, ()))
 
     if mode == "exhaustive":
         # B_n when it has no more rows than there are (m-1)-subsets and its tables
@@ -688,7 +738,7 @@ def verify_lemma(
     cap = SAMPLE_ATTEMPT_FACTOR * count
     checked = attempts = 0
     hist = np.zeros(n + 2, dtype=np.int64)
-    viol: list[list[int]] = []
+    viol: list[tuple[Point, ...]] = []
     while checked < count and attempts < cap:
         want = min(cap - attempts, max(1024, count - checked + (count - checked) // 8))
         S = _draw_subsets(rng, n, m, want)
@@ -701,8 +751,10 @@ def verify_lemma(
         attempts += len(out)
         checked += int((out >= 0).sum())
         np.add.at(hist, out + 2, 1)
-        viol += S[out > budget].tolist()
-    return LemmaSweepReport(**base, **_sweep_fields(shell, hist, viol), attempts=attempts)
+        viol += [tuple(shell.points[i] for i in r) for r in S[out > budget].tolist()]
+    return LemmaSweepReport(
+        **base, **_sweep_fields(hist, _reference_reports(shell, viol)), attempts=attempts
+    )
 
 
 def translate_report_to_json(report: TranslateReport) -> dict:

@@ -194,8 +194,9 @@ def test_lemma_exhaustive_byte_identical_across_threads():
 
 
 # Exit code and sha256 of stdout, pinned from the output before the canonical-subset
-# generator ran a level at a time. A deliberate output change updates the hash and
-# says so in CHANGES.md.
+# generator ran a level at a time (the last two: before exhaustive violations were
+# derived once per orbit). A deliberate output change updates the hash and says so
+# in CHANGES.md.
 GOLDEN = [
     ("lemma --dim 4 --lambda 12", 1,
      "0b832485d5b9a29cf94f15302ff4f42c80b4d6d3751979b3d426c7115695b45e"),
@@ -205,11 +206,16 @@ GOLDEN = [
      "614fe62e6db0a4d8d29c351d3f0430dd108c8a21c2a09963f96dbd7d15620b8f"),
     ("sweep --dim 2 --lambda-min 1 --lambda-max 100 --random-trials 2", 0,
      "92410b7cf4af11390ebaf675a6fe521af87428b14d5111792196d1c2b0777942"),
+    ("lemma --dim 4 --lambda 13", 1,
+     "b555b38ae55726b2bbcb58f73a5ea53a27f96913c5d8d073e32e653bbb4c865b"),
+    ("lemma --dim 4 --lambda 12 --json", 1,
+     "107a6facb9aef254e41bc4fb010f107a8dfec957d4eb697e5cdb4e01bc05db90"),
 ]
 
 
 @pytest.mark.parametrize("command,code,digest", GOLDEN,
-                         ids=["lemma-4-12", "lemma-3-41", "lemma-3-9-extra1", "sweep-2-1-100"])
+                         ids=["lemma-4-12", "lemma-3-41", "lemma-3-9-extra1", "sweep-2-1-100",
+                              "lemma-4-13", "lemma-4-12-json"])
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_golden_stdout(command, code, digest, threads):
     got, out, _ = run_cli(command.split() + ["--threads", threads])

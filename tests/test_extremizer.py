@@ -167,15 +167,20 @@ def test_config_validation():
 
 
 def test_maximize_refuses_partial_shell(monkeypatch):
+    # as many points as the shell, one of them off it: compared point by point
+    points = ((-5, 0), (-4, -3), (-4, 3), (-3, -4), (-3, 4), (0, -5), (0, 5), (3, -4), (3, 4),
+              (4, -3), (4, 3), (5, 1))
+    wrong = SphereShell(dim=2, lam=25, points=points, index=frozenset(points))
+    with pytest.raises(ContractError, match="the 12 given points differ from the 12 points of"):
+        maximize(wrong, 4.0, ExtremizerConfig(restarts=1, max_iters=10))
+    # the enumeration stops once it passes the given points, below the cap or not
     points = ((3, 4), (4, 3))
     partial = SphereShell(dim=2, lam=25, points=points, index=frozenset(points))
-    with pytest.raises(ContractError, match="differ from the 12 points of shell"):
-        maximize(partial, 4.0, ExtremizerConfig(restarts=1, max_iters=10))
-    # when the enumeration stops at the cap, the subset is still refused for what it is
-    monkeypatch.setattr(lattice, "MAX_POINTS", 11)
-    with pytest.raises(ContractError, match=r"the 2 given points differ from the more than 11 "
-                                            r"points of shell\(2, 25\)"):
-        maximize(partial, 4.0, ExtremizerConfig(restarts=1, max_iters=10))
+    for cap in (lattice.MAX_POINTS, 11):
+        monkeypatch.setattr(lattice, "MAX_POINTS", cap)
+        with pytest.raises(ContractError, match=r"the 2 given points differ from the more than "
+                                                r"2 points of shell\(2, 25\)"):
+            maximize(partial, 4.0, ExtremizerConfig(restarts=1, max_iters=10))
     # a given shell longer than the cap cannot be checked, and meets the cap itself
     monkeypatch.setattr(lattice, "MAX_POINTS", 1)
     with pytest.raises(PointLimitError, match="more than 1 points"):

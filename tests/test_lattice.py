@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -12,7 +13,9 @@ from torus_spectra import (
     contains,
     enumerate_shell,
     lattice,
+    maximize,
     shell_to_json,
+    verify_lemma,
 )
 from torus_spectra.lattice import negate, sign_canonical, squared_norm
 
@@ -93,6 +96,30 @@ def test_point_cap_refuses_as_soon_as_it_is_passed(monkeypatch):
         tracemalloc.stop()
     # what stays is at most the interpreter's free list of 2,000 tuples per length
     assert peak > 5 * 10**6 and current < peak // 4
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda shell: lattice.require_whole(shell, "retry"),
+    lambda shell: verify_lemma(shell, mode="sampled", count=10),
+    lambda shell: maximize(shell, 4.0),
+], ids=["require_whole", "verify_lemma", "maximize"])
+def test_subset_refusal_stops_past_the_given_points(refuse):
+    # 32 points of shell(16,16), which holds 509,145,568: the check that refuses
+    # them stops at the 33rd point it finds, far below MAX_POINTS
+    points = tuple(sorted(p for i in range(16) for p in ((0,) * i + (s,) + (0,) * (15 - i)
+                                                         for s in (-4, 4))))
+    subset = lattice.SphereShell(dim=16, lam=16, points=points, index=frozenset(points))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ContractError, match=r"the 32 given points differ from the more "
+                                                r"than 32 points of shell\(16, 16\)"):
+            refuse(subset)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 10**6
 
 
 def test_contains_and_dimension_mismatch():

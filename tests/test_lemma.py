@@ -38,6 +38,7 @@ from torus_spectra.lemma import (
     _draw_subsets,
     _exhaustive,
     _group,
+    _reference_reports,
     _tables,
     _Tables,
     _translate_sets,
@@ -705,17 +706,19 @@ def test_partial_shell_is_refused(monkeypatch):
     # 6 pairs and none antipodal: swept as given they would not report 2 antipodal
     points = ((0, 5), (3, 4), (4, 3), (5, 0))
     partial = SphereShell(dim=2, lam=25, points=points, index=frozenset(points))
-    for kwargs in (dict(mode="exhaustive"), dict(mode="sampled", count=10)):
-        with pytest.raises(ContractError, match="differ from the 12 points of shell"):
-            verify_lemma(partial, **kwargs)
-    # when the enumeration of uncached tables stops at the cap, the subset is
-    # still refused for what it is
-    monkeypatch.setattr(lattice, "MAX_POINTS", 11)
-    lemma._tables.cache_clear()
-    for kwargs in (dict(mode="exhaustive"), dict(mode="sampled", count=10)):
-        with pytest.raises(ContractError, match=r"the 4 given points differ from the more than "
-                                                r"11 points of shell\(2, 25\)"):
-            verify_lemma(partial, **kwargs)
+    # as many points as the shell, one of them off it: compared point by point
+    wrong = tuple(sorted(enumerate_shell(2, 25).points[:-1] + ((5, 1),)))
+    with pytest.raises(ContractError, match="the 12 given points differ from the 12 points of"):
+        verify_lemma(SphereShell(dim=2, lam=25, points=wrong, index=frozenset(wrong)))
+    # the enumeration stops once it passes the given points, below the cap or
+    # not, and with the tables cached or not
+    for cap in (lattice.MAX_POINTS, 11):
+        monkeypatch.setattr(lattice, "MAX_POINTS", cap)
+        lemma._tables.cache_clear()
+        for kwargs in (dict(mode="exhaustive"), dict(mode="sampled", count=10)):
+            with pytest.raises(ContractError, match=r"the 4 given points differ from the more "
+                                                    r"than 4 points of shell\(2, 25\)"):
+                verify_lemma(partial, **kwargs)
 
 
 def test_threads_do_not_change_results():
@@ -788,15 +791,36 @@ def test_other_dim4_budget_excesses_are_sign_flip_degenerate(lam, violations, ma
 
     Within the guard, shell(4, lam) also exceeds the budget at these lam
     (shell(4,12) is c05's). Every excess is sign-flip degenerate by the exact
-    oracle, and the first one's translates survive an independent full scan.
+    oracle, and its translates survive an independent full scan.
     """
     shell = enumerate_shell(4, lam)
     report = verify_lemma(shell, mode="exhaustive")
     assert len(report.violations) == violations
     assert report.max_nonedge_count == max_nonedge
     assert all(sign_flip_degenerate(v.simplex.vertices) for v in report.violations)
-    first = report.violations[0]
-    assert set(first.translates) == full_scan_translates(shell, first.simplex.vertices)
+    for v in report.violations:
+        assert set(v.translates) == full_scan_translates(shell, v.simplex.vertices)
+
+
+@pytest.mark.parametrize("kind", ["signed-permutations", "sign-changes"])
+@pytest.mark.parametrize("lam", [3, 6, 7, 9, 11, 12, 13, 17])
+def test_orbit_mapped_violations_equal_the_reference_path(lam, kind):
+    """Each exhaustive violation against the reference path on its own vertices.
+
+    One member of each orbit goes through the reference path and the others
+    are mapped from it; every member's report must equal the reference
+    report of its vertices, and the members must be listed once each in
+    index order. shell(4,17) is beyond the guard, so `_exhaustive` is called
+    directly.
+    """
+    shell = enumerate_shell(4, lam)
+    violations = _exhaustive(shell, 4, kind)["violations"]
+    assert violations
+    assert violations == _reference_reports(shell, [v.simplex.vertices for v in violations])
+    index = {p: i for i, p in enumerate(shell.points)}
+    rows = [tuple(index[p] for p in v.simplex.vertices) for v in violations]
+    assert all(list(r) == sorted(set(r)) for r in rows)
+    assert rows == sorted(set(rows))
 
 
 def test_sign_flip_degenerate_oracle():
