@@ -49,6 +49,14 @@ BOUND_SLACK = 1e-9
 ZYGMUND_L2_BOUND = math.sqrt(5.0)
 
 
+def _squared_mass(amplitudes) -> float:
+    """Exactly rounded sum of |a|^2; inf where that sum overflows."""
+    try:
+        return math.fsum(a.real * a.real + a.imag * a.imag for a in amplitudes)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class EigenfunctionCoeffs:
     """Complex amplitudes a_xi on a shell with sum |a_xi|^2 = 1.
@@ -66,10 +74,10 @@ class EigenfunctionCoeffs:
         for p in self.amplitudes:
             if p not in self.shell.index:
                 raise MembershipError(f"amplitude key {p} not on shell({self.shell.dim}, {self.shell.lam})")
-        total = math.fsum((a.real * a.real + a.imag * a.imag) for a in self.amplitudes.values())
+        total = _squared_mass(self.amplitudes.values())
         if total == 0.0:
             raise ContractError("all amplitudes are zero")
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:  # NaN fails this comparison too
             raise ContractError(f"squared-mass sum {total!r} deviates from 1 beyond {NORM_TOL}")
 
     @property
@@ -145,7 +153,7 @@ def random_coeffs(
     else:
         raise ContractError(f"unknown mode {mode!r}; expected uniform, gaussian or sparse")
     z = rng.standard_normal(len(chosen)) + 1j * rng.standard_normal(len(chosen))
-    z /= math.sqrt(math.fsum((x.real * x.real + x.imag * x.imag) for x in z))
+    z /= math.sqrt(_squared_mass(z))
     return EigenfunctionCoeffs(shell, {shell.points[i]: complex(a) for i, a in zip(chosen, z)})
 
 
@@ -424,6 +432,14 @@ def coeffs_to_json(coeffs: EigenfunctionCoeffs) -> dict:
     }
 
 
+def _point(coords) -> Point:
+    """A file point as integers, refusing any coordinate that int() would change."""
+    point = tuple(int(c) for c in coords)
+    if point != tuple(coords):
+        raise ValueError(f"point {coords!r} has a non-integer coordinate")
+    return point
+
+
 def coeffs_from_json(obj: dict, force_normalize: bool = False) -> EigenfunctionCoeffs:
     """Load a coefficient file object; see LOADER_FIX_LIMIT for the contract.
 
@@ -434,11 +450,8 @@ def coeffs_from_json(obj: dict, force_normalize: bool = False) -> EigenfunctionC
         dim = int(obj["dim"])
         lam = int(obj["lambda"])
         raw = obj["coeffs"]
-        entries = [
-            (tuple(int(c) for c in e["point"]), complex(float(e["re"]), float(e["im"])))
-            for e in raw
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        entries = [(_point(e["point"]), complex(float(e["re"]), float(e["im"]))) for e in raw]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CoefficientFileError(f"malformed coefficient file: {exc}") from exc
     if not entries:
         raise CoefficientFileError("coefficient file has no entries")
@@ -450,9 +463,11 @@ def coeffs_from_json(obj: dict, force_normalize: bool = False) -> EigenfunctionC
         if p not in shell.index:
             raise CoefficientFileError(f"point {p} is not on shell({dim}, {lam})")
         amplitudes[p] = a
-    total = math.fsum(a.real * a.real + a.imag * a.imag for a in amplitudes.values())
+    total = _squared_mass(amplitudes.values())
     if total == 0.0:
         raise CoefficientFileError("coefficient file has zero total mass")
+    if not math.isfinite(total):
+        raise CoefficientFileError(f"coefficient file has non-finite squared mass {total!r}")
     dev = abs(total - 1.0)
     if dev > NORM_TOL:
         if dev >= LOADER_FIX_LIMIT and not force_normalize:

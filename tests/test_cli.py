@@ -108,6 +108,20 @@ def test_spectrum_malformed_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("entry,message", [
+    ('"point": [5, 0], "re": NaN', "coefficient file has non-finite squared mass nan"),
+    ('"point": [5, 0], "re": Infinity', "coefficient file has non-finite squared mass inf"),
+    ('"point": [5.9, 0.2], "re": 1.0',
+     "malformed coefficient file: point [5.9, 0.2] has a non-integer coordinate"),
+])
+@pytest.mark.parametrize("force", [[], ["--force-normalize"]])
+def test_spectrum_refuses_a_non_finite_or_fractional_file(tmp_path, entry, message, force):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 2, "lambda": 25, "coeffs": [{' + entry + ', "im": 0.0}]}')
+    got = run_cli(["spectrum", "--dim", "2", "--lambda", "25", "--coeffs", str(path), *force])
+    assert got == (2, "", f"error: {message}\n")
+
+
 def test_spectrum_sparse_mode_with_size():
     code, out, _ = run_cli(
         ["spectrum", "--dim", "2", "--lambda", "25", "--random", "sparse:3", "--seed", "2"]

@@ -31,7 +31,7 @@ def _unused_imports(path: Path) -> list[str]:
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used.update(elt.value for elt in node.value.elts)

@@ -108,6 +108,17 @@ def test_coeffs_validation():
         EigenfunctionCoeffs(shell, {})
 
 
+@pytest.mark.parametrize("amplitudes", [
+    {(5, 0): complex(math.nan, 0.0)},
+    {(5, 0): complex(0.6, math.nan)},
+    {(5, 0): complex(math.inf, 0.0)},
+    {(5, 0): 1e154 + 0j, (0, 5): 1e154 + 0j},  # each |a|^2 finite, their sum overflows
+])
+def test_coeffs_refuse_a_non_finite_squared_mass(amplitudes):
+    with pytest.raises(ContractError, match="squared-mass sum (nan|inf) deviates"):
+        EigenfunctionCoeffs(enumerate_shell(2, 25), amplitudes)
+
+
 # --------------------------------------------------------------------------
 # autocorrelation
 
@@ -626,3 +637,30 @@ def test_loader_rejects_bad_files():
             {"dim": 2, "lambda": 25, "coeffs": [{"point": [5, 0], "re": 0.0, "im": 0.0}]},
             force_normalize=True,
         )
+
+
+@pytest.mark.parametrize("force_normalize", [False, True])
+@pytest.mark.parametrize("re,total", [(math.nan, "nan"), (math.inf, "inf"), (1e154, "inf")])
+def test_loader_refuses_a_non_finite_squared_mass(re, total, force_normalize):
+    obj = {
+        "dim": 2,
+        "lambda": 25,
+        "coeffs": [{"point": [5, 0], "re": re, "im": 0.0}, {"point": [0, 5], "re": re, "im": 0.0}],
+    }
+    with pytest.raises(CoefficientFileError, match=f"non-finite squared mass {total}$"):
+        coeffs_from_json(obj, force_normalize=force_normalize)
+
+
+def test_loader_refuses_fractional_coordinates():
+    def load(point):
+        return coeffs_from_json(
+            {"dim": 2, "lambda": 25, "coeffs": [{"point": point, "re": 1.0, "im": 0.0}]}
+        )
+
+    with pytest.raises(CoefficientFileError, match=r"point \[5\.9, 0\.2\] has a non-integer"):
+        load([5.9, 0.2])
+    with pytest.raises(CoefficientFileError, match="malformed coefficient file"):
+        load([math.inf, 0])
+    for point in ([5, 0], [5.0, 0.0]):
+        (key,) = load(point).amplitudes
+        assert key == (5, 0) and all(type(c) is int for c in key)
