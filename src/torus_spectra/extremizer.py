@@ -57,10 +57,10 @@ from .errors import ContractError
 from .lattice import Point, SphereShell, require_whole
 from .spectra import (
     EigenfunctionCoeffs,
+    PairStructure,
     applicable_bound,
     autocorrelation,
     lp_norm,
-    pair_structure,
     power_sum,
     require_exponent,
 )
@@ -149,7 +149,7 @@ class SpectrumEngine:
         self.shell = shell
         self.points = pts
         arr = np.array(pts, dtype=np.int64).reshape(len(pts), shell.dim)
-        self._pairs = pair_structure(shell.dim, shell.lam, arr)
+        self._pairs = PairStructure(shell.dim, shell.lam, arr)
 
     def vector(self, coeffs: EigenfunctionCoeffs) -> np.ndarray:
         return np.array([coeffs.amplitudes.get(p, 0.0) for p in self.points], dtype=np.complex128)
@@ -290,7 +290,7 @@ def maximize(
         if keep_history:
             runs.append(AscentRun(index=r, value=f ** (1.0 / p), iterations=iterations,
                                   stop=stop, history=tuple(history)))
-    del engine  # the last-build cache frees this build before the winner's is made
+    del engine  # frees the restarts' pair index before the winner's objective builds its own
     a, _, iterations, stop = best
     scale = 1.0 / math.sqrt(math.fsum((x.real * x.real + x.imag * x.imag) for x in a))
     best_coeffs = EigenfunctionCoeffs(shell, {q: complex(x * scale) for q, x in zip(points, a)})

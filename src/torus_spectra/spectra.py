@@ -163,10 +163,9 @@ def random_coeffs(
 # of s points it records, once, which of the s^2 ordered pairs lands on
 # which difference vector. The build forms the s^2 difference keys from
 # the s packed points (packing is affine, see _packing), never the s^2
-# difference rows, and ranks them by direct address or by sorting. Only
-# the last build is kept: consecutive requests for one support (a sweep's
-# random trials on one shell, the objective of an ascent's winner) share
-# it, and a new support releases it before building.
+# difference rows, and ranks them by direct address or by sorting. Each
+# spectrum builds its own and releases it when it returns; a SpectrumEngine
+# keeps one for all its evaluations.
 
 # Byte budget for one PairStructure build, checked against an estimate from
 # the support size before anything is allocated.
@@ -243,18 +242,6 @@ class PairStructure:
         return values.view(np.float64)[self.bins].view(np.complex128)
 
 
-_last_pair: tuple | None = None  # (key, build) of the last pair_structure call
-
-
-def pair_structure(dim: int, lam: int, supp: np.ndarray) -> PairStructure:
-    global _last_pair
-    key = (dim, lam, supp.tobytes())
-    if _last_pair is None or _last_pair[0] != key:
-        _last_pair = None  # the old build goes before the new one allocates
-        _last_pair = (key, PairStructure(dim, lam, supp))
-    return _last_pair[1]
-
-
 def autocorrelation(coeffs: EigenfunctionCoeffs) -> AutocorrelationSpectrum:
     """Fourier coefficients of |phi|^2: b_tau = sum_{xi-eta=tau} a_xi conj(a_eta).
 
@@ -267,7 +254,7 @@ def autocorrelation(coeffs: EigenfunctionCoeffs) -> AutocorrelationSpectrum:
     supp = coeffs.support
     a = np.array([coeffs.amplitudes[p] for p in supp], dtype=np.complex128)
     arr = np.array(supp, dtype=np.int64).reshape(len(supp), coeffs.shell.dim)
-    ps = pair_structure(coeffs.shell.dim, coeffs.shell.lam, arr)
+    ps = PairStructure(coeffs.shell.dim, coeffs.shell.lam, arr)
     values = ps.accumulate(a)
     return AutocorrelationSpectrum(
         dim=coeffs.shell.dim, lam=coeffs.shell.lam, taus=ps.taus, values=values
@@ -432,6 +419,14 @@ def coeffs_to_json(coeffs: EigenfunctionCoeffs) -> dict:
     }
 
 
+def _whole(value, field: str) -> int:
+    """A file field as an integer, refusing any value that int() would change."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{field} {value!r} is not an integer")
+    return n
+
+
 def _point(coords) -> Point:
     """A file point as integers, refusing any coordinate that int() would change."""
     point = tuple(int(c) for c in coords)
@@ -447,8 +442,8 @@ def coeffs_from_json(obj: dict, force_normalize: bool = False) -> EigenfunctionC
     "coeffs" list round-trips through this loader.
     """
     try:
-        dim = int(obj["dim"])
-        lam = int(obj["lambda"])
+        dim = _whole(obj["dim"], '"dim"')
+        lam = _whole(obj["lambda"], '"lambda"')
         raw = obj["coeffs"]
         entries = [(_point(e["point"]), complex(float(e["re"]), float(e["im"]))) for e in raw]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

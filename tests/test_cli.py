@@ -122,6 +122,20 @@ def test_spectrum_refuses_a_non_finite_or_fractional_file(tmp_path, entry, messa
     assert got == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("shell,message", [
+    ('"dim": 2.7, "lambda": 25.9', '"dim" 2.7 is not an integer'),
+    ('"dim": 2, "lambda": 25.9', '"lambda" 25.9 is not an integer'),
+    ('"dim": "2", "lambda": "25"', "\"dim\" '2' is not an integer"),
+])
+@pytest.mark.parametrize("force", [[], ["--force-normalize"]])
+def test_spectrum_refuses_a_fractional_or_non_numeric_shell(tmp_path, shell, message, force):
+    # int() alone would load each of these files as shell(2, 25)
+    path = tmp_path / "bad.json"
+    path.write_text('{' + shell + ', "coeffs": [{"point": [5, 0], "re": 1.0, "im": 0.0}]}')
+    got = run_cli(["spectrum", "--dim", "2", "--lambda", "25", "--coeffs", str(path), *force])
+    assert got == (2, "", f"error: malformed coefficient file: {message}\n")
+
+
 def test_spectrum_sparse_mode_with_size():
     code, out, _ = run_cli(
         ["spectrum", "--dim", "2", "--lambda", "25", "--random", "sparse:3", "--seed", "2"]

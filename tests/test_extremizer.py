@@ -294,10 +294,9 @@ def test_ascent_evaluation_counts(monkeypatch):
 
 @pytest.mark.parametrize("threads,expected", [(1, [16, 4]), (2, [16, 4])])
 def test_maximize_builds_no_pair_structure_for_the_winner(monkeypatch, threads, expected):
-    # from an empty pair cache, the calling process builds the restarts' engine
-    # at any thread count, and the winner's objective over its support, and
-    # nothing for the winner's coefficients; the restarts' build is freed first
-    monkeypatch.setattr(spectra, "_last_pair", None)
+    # the calling process builds the restarts' engine at any thread count, and
+    # the winner's objective over its support, and nothing for the winner's
+    # coefficients; the restarts' build is freed first
     built = []
     init = PairStructure.__init__
 

@@ -40,7 +40,7 @@ from torus_spectra import (
 from torus_spectra import jsonfmt, spectra
 from torus_spectra._packing import pack_rows, pack_spec
 from torus_spectra.errors import ResourceLimitError
-from torus_spectra.spectra import PairStructure, pair_structure, spectrum_entries_json
+from torus_spectra.spectra import PairStructure, spectrum_entries_json
 
 RT2 = math.sqrt(0.5)
 
@@ -218,7 +218,7 @@ def test_accumulate_and_gather_match_two_bincount_formula(dim, lam):
     taus, inv = np.unique((supp[:, None, :] - supp[None, :, :]).reshape(s * s, dim), axis=0,
                           return_inverse=True)
     inv = inv.reshape(-1)
-    ps = pair_structure(dim, lam, supp)
+    ps = PairStructure(dim, lam, supp)
     assert np.array_equal(ps.taus, taus)
     rng = np.random.default_rng(dim * 1000 + lam)
     for _ in range(3):
@@ -319,38 +319,26 @@ def test_spectrum_rendering_peak_stays_within_a_multiple_of_its_output(pretty, m
     assert peak <= multiple * len(out[0])
 
 
-def test_pair_cache_keeps_only_the_last_build(monkeypatch):
-    monkeypatch.setattr(spectra, "_last_pair", None)
-    built, refs = [], []
+def test_autocorrelation_releases_its_pair_index(monkeypatch):
+    # the spectrum keeps its taus and values; the pair index it was summed
+    # over (4.7 MB of bins on shell(6,6)) is gone once autocorrelation returns
+    refs = []
     init = PairStructure.__init__
 
-    def counted(self, dim, lam, supp):
-        # every earlier build is gone before this one allocates
-        assert [ref() for ref in refs] == [None] * len(refs)
-        built.append((dim, lam))
+    def recorded(self, dim, lam, supp):
         init(self, dim, lam, supp)
         refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(PairStructure, "__init__", counted)
-    a, b, c = (2, 5), (3, 2), (5, 5)  # 8, 12 and 112 points
-    supps = {sh: np.array(enumerate_shell(*sh).points, dtype=np.int64) for sh in (a, b, c)}
-    # the same support, even as another array, is a hit and builds nothing
-    first = pair_structure(*a, supps[a])
-    assert pair_structure(*a, supps[a].copy()) is first
-    assert built == [a]
-    del first
-    # a different support builds, after the old build was released
-    assert pair_structure(*b, supps[b]).size == 12
-    assert built == [a, b]
-    assert pair_structure(*a, supps[a]).size == 8
-    assert built == [a, b, a] and refs[1]() is None
-    # the byte guard still refuses before allocating (c would take about 0.9 MB),
-    # and the old build is released all the same
-    monkeypatch.setattr(spectra, "PAIR_INDEX_BYTES", 10**5)
-    peak, raised = peak_bytes_of(lambda: pair_structure(*c, supps[c]))
-    assert isinstance(raised, ResourceLimitError) and peak < 10**5
-    assert spectra._last_pair is None and refs[2]() is None
-    assert built == [a, b, a, c]
+    monkeypatch.setattr(PairStructure, "__init__", recorded)
+    coeffs = random_coeffs(enumerate_shell(6, 6), 1)
+    tracemalloc.start()
+    try:
+        spectrum = autocorrelation(coeffs)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(refs) == 1 and refs[0]() is None
+    assert held <= spectrum.taus.nbytes + spectrum.values.nbytes + 2**16
 
 
 def test_pack_rows_allocates_only_its_output():
@@ -652,9 +640,9 @@ def test_loader_refuses_a_non_finite_squared_mass(re, total, force_normalize):
 
 
 def test_loader_refuses_fractional_coordinates():
-    def load(point):
+    def load(point, dim=2, lam=25):
         return coeffs_from_json(
-            {"dim": 2, "lambda": 25, "coeffs": [{"point": point, "re": 1.0, "im": 0.0}]}
+            {"dim": dim, "lambda": lam, "coeffs": [{"point": point, "re": 1.0, "im": 0.0}]}
         )
 
     with pytest.raises(CoefficientFileError, match=r"point \[5\.9, 0\.2\] has a non-integer"):
@@ -664,3 +652,13 @@ def test_loader_refuses_fractional_coordinates():
     for point in ([5, 0], [5.0, 0.0]):
         (key,) = load(point).amplitudes
         assert key == (5, 0) and all(type(c) is int for c in key)
+    # int() alone would read each of these shells as shell(2, 25)
+    for dim, lam, message in [(2.7, 25.9, r'"dim" 2\.7 is not'),
+                              (2, 25.9, r'"lambda" 25\.9 is not'),
+                              ("2", "25", "\"dim\" '2' is not"),
+                              (2, "25", "\"lambda\" '25' is not"),
+                              (None, 25, "malformed"), (2, math.inf, "malformed")]:
+        with pytest.raises(CoefficientFileError, match=message):
+            load([5, 0], dim, lam)
+    shell = load([5, 0], 2.0, 25.0).shell
+    assert (shell.dim, shell.lam) == (2, 25) and type(shell.dim) is type(shell.lam) is int
