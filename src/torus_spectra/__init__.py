@@ -16,8 +16,8 @@ _EXPORTS = {
         MembershipError PointLimitError RangeError ResourceLimitError TorusSpectraError
     """,
     "extremizer": """
-        AscentRun ExtremalReport ExtremizerConfig SpectrumEngine finite_difference_gradient
-        gradient maximize objective
+        AscentRun ExtremalReport ExtremizerConfig finite_difference_gradient gradient maximize
+        objective
     """,
     "lattice": "Point SphereShell contains enumerate_shell shell_to_json sign_canonical",
     "lemma": """
@@ -25,9 +25,10 @@ _EXPORTS = {
         verify_lemma
     """,
     "spectra": """
-        AutocorrelationSpectrum BoundReport EigenfunctionCoeffs ParsevalResult applicable_bound
-        autocorrelation bound_constant bound_verdict check_theorem coeffs_from_json
-        coeffs_to_json grid_density lp_norm min_alias_free_grid parseval_check random_coeffs
+        AutocorrelationSpectrum BoundReport EigenfunctionCoeffs ParsevalResult SpectrumEngine
+        applicable_bound autocorrelation bound_constant bound_verdict check_theorem
+        coeffs_from_json coeffs_to_json grid_density lp_norm min_alias_free_grid parseval_check
+        random_coeffs
     """,
     "sweeps": "SweepRow sweep",
 }

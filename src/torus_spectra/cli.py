@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import jsonfmt
@@ -233,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except TorusSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:  # the reader closed stdout early: stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # so the exit-time flush cannot raise again
         return EXIT_USAGE
     except Exception:  # exit 1 is reserved for real bound violations
         import traceback

@@ -14,7 +14,7 @@ g_xi = dF/dx_xi + i dF/dy_xi, bilinearity of b gives
 
     g_xi = 2 p sum_{zeta in S} |b_{xi-zeta}|^(p-2) b_{xi-zeta} a_zeta,
 
-a Hermitian matrix-vector product over the precomputed pair structure.
+a Hermitian matrix-vector product over `spectra.SpectrumEngine`'s pair index.
 f is positively homogeneous of degree 2p, so Euler's identity gives
 Re<a, g> = 2p f > 0 and the critical points of f on the sphere are
 exactly the fixed points of a <- g / |g| (SS-HOPM with shift 0; Kolda &
@@ -42,8 +42,9 @@ normal double (about 2.2e-308), against about 4 ns otherwise. So f is
 summed by `spectra.power_sum`, which raises only the |b_tau| whose p-th
 power is a normal double and counts the others, each below 2.2e-308
 against f >= |b_0|^p = 1, as 0; and the gradient weights are computed
-only above GRAD_ZERO_TOL. Values, gradients and iterates are bitwise those
-of the unmasked formulas, which the tests keep as their oracle.
+only above `spectra.GRAD_ZERO_TOL`. Values, gradients and iterates are
+bitwise those of the unmasked formulas, which the tests keep as their
+oracle.
 """
 
 from __future__ import annotations
@@ -57,19 +58,12 @@ from .errors import ContractError
 from .lattice import Point, SphereShell, require_whole
 from .spectra import (
     EigenfunctionCoeffs,
-    PairStructure,
+    SpectrumEngine,
     applicable_bound,
     autocorrelation,
     lp_norm,
-    power_sum,
     require_exponent,
 )
-
-# |b_tau| below this contributes no gradient term: |b|^p = (|b|^2)^(p/2) is
-# non-smooth at 0 for odd p, and zeroing the term avoids NaN without biasing
-# generic points. Its weight |b|^(p-2) is never computed: below the tolerance
-# the power is often subnormal, numpy's slow path, and would be dropped.
-GRAD_ZERO_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -122,56 +116,6 @@ class ExtremalReport:
     p: float
     restarts: int
     runs: tuple[AscentRun, ...] | None = None
-
-
-class SpectrumEngine:
-    """Vectorized objective/gradient evaluation on a fixed point support.
-
-    Amplitude vectors are complex arrays aligned with `points` (by default
-    the whole shell, optionally a non-empty sub-support of distinct shell
-    points, kept sorted); evaluation works for any vector, normalized or
-    not, which also makes the engine the natural target for
-    finite-difference checks.
-    """
-
-    def __init__(self, shell: SphereShell, support: tuple[Point, ...] | None = None):
-        if len(shell) == 0:
-            raise ContractError(f"shell({shell.dim}, {shell.lam}) is empty")
-        pts = shell.points if support is None else tuple(sorted(tuple(q) for q in support))
-        if not pts:
-            raise ContractError("the support is empty")
-        for p in pts:
-            if p not in shell.index:
-                raise ContractError(f"support point {p} is not on the shell")
-        for p, q in zip(pts, pts[1:]):
-            if p == q:
-                raise ContractError(f"support point {p} is repeated")
-        self.shell = shell
-        self.points = pts
-        arr = np.array(pts, dtype=np.int64).reshape(len(pts), shell.dim)
-        self._pairs = PairStructure(shell.dim, shell.lam, arr)
-
-    def vector(self, coeffs: EigenfunctionCoeffs) -> np.ndarray:
-        return np.array([coeffs.amplitudes.get(p, 0.0) for p in self.points], dtype=np.complex128)
-
-    def _weights(self, b: np.ndarray, mags: np.ndarray, p: float) -> np.ndarray:
-        if p == 2:
-            return p * b
-        scale = np.power(mags, p - 2, out=np.zeros_like(mags), where=~(mags < GRAD_ZERO_TOL))
-        return p * scale * b
-
-    def power_value(self, a: np.ndarray, p: float) -> float:
-        """f = sum |b_tau|^p."""
-        return float(power_sum(np.abs(self._pairs.accumulate(a)), p))
-
-    def power_value_and_gradient(self, a: np.ndarray, p: float) -> tuple[float, np.ndarray]:
-        """f and its gradient."""
-        b = self._pairs.accumulate(a)
-        mags = np.abs(b)
-        f = float(power_sum(mags, p))
-        s = self._pairs.size
-        matrix = self._pairs.gather(self._weights(b, mags, p)).reshape(s, s)
-        return f, 2.0 * (matrix @ a)
 
 
 def objective(coeffs: EigenfunctionCoeffs, p: float) -> float:

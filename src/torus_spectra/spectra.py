@@ -158,22 +158,32 @@ def random_coeffs(
 
 
 # ---------------------------------------------------------------------------
-# Pair structure: difference-vector indexing shared by the spectrum, the
-# quadrature cross-checks and the extremizer. For a fixed ordered support
-# of s points it records, once, which of the s^2 ordered pairs lands on
-# which difference vector. The build forms the s^2 difference keys from
-# the s packed points (packing is affine, see _packing), never the s^2
-# difference rows, and ranks them by direct address or by sorting. Each
-# spectrum builds its own and releases it when it returns; a SpectrumEngine
-# keeps one for all its evaluations.
+# Spectrum engine: the one owner of a difference-vector index. For a fixed
+# ordered support of s points it records, once, which of the s^2 ordered
+# pairs lands on which difference vector, and then evaluates spectra, power
+# sums and gradients for any number of amplitude vectors on that support.
+# `autocorrelation` builds a one-shot engine on its support and drops it; a
+# caller that evaluates many vectors on one support keeps one engine.
 
-# Byte budget for one PairStructure build, checked against an estimate from
+# Byte budget for one engine's pair index, checked against an estimate from
 # the support size before anything is allocated.
 PAIR_INDEX_BYTES = 2**30
 
+# |b_tau| below this contributes no gradient term: |b|^p = (|b|^2)^(p/2) is
+# non-smooth at 0 for odd p, and zeroing the term avoids NaN without biasing
+# generic points. Its weight |b|^(p-2) is never computed: below the tolerance
+# the power is often subnormal, numpy's slow path, and would be dropped.
+GRAD_ZERO_TOL = 1e-14
 
-class PairStructure:
-    """Difference-vector index for an ordered support of lattice points.
+
+class SpectrumEngine:
+    """Pair index and vectorized spectrum, value and gradient on a fixed support.
+
+    Amplitude vectors are complex arrays aligned with `points` (by default
+    the whole shell, optionally a non-empty sub-support of distinct shell
+    points, kept sorted); evaluation works for any vector, normalized or
+    not, which also makes the engine the natural target for
+    finite-difference checks.
 
     With k the position of xi_i - xi_j in `taus` (sorted lexicographically),
     pair i*s + j owns the interleaved float bins `bins[2(i*s + j)] = 2k` and
@@ -192,8 +202,19 @@ class PairStructure:
     do not fit in int64.
     """
 
-    def __init__(self, dim: int, lam: int, supp: np.ndarray):
-        s = len(supp)
+    def __init__(self, shell: SphereShell, support: tuple[Point, ...] | None = None):
+        if len(shell) == 0:
+            raise ContractError(f"shell({shell.dim}, {shell.lam}) is empty")
+        pts = shell.points if support is None else tuple(sorted(tuple(q) for q in support))
+        if not pts:
+            raise ContractError("the support is empty")
+        for p in pts:
+            if p not in shell.index:
+                raise ContractError(f"support point {p} is not on the shell")
+        for p, q in zip(pts, pts[1:]):
+            if p == q:
+                raise ContractError(f"support point {p} is repeated")
+        s, dim = len(pts), shell.dim
         # Counts difference rows (dim per pair), keys, inv and bins (two), 8 bytes
         # each. The build never forms the rows: it holds keys, inv and bins
         # beside its box table (or np.unique's sort). The rows stay in the estimate
@@ -205,10 +226,12 @@ class PairStructure:
                 f"support of {s} points too large for dense pair indexing: about {need} bytes, "
                 f"above the {PAIR_INDEX_BYTES}-byte guard"
             )
-        bias, radix = pack_spec(dim, 2 * isqrt(lam))
-        points = pack_rows(supp, bias, radix)
+        self.shell = shell
+        self.points = pts
+        bias, radix = pack_spec(dim, 2 * isqrt(shell.lam))
+        packed = pack_rows(np.array(pts, dtype=np.int64).reshape(s, dim), bias, radix)
         box = radix**dim
-        keys = np.subtract.outer(points, points).reshape(-1)
+        keys = np.subtract.outer(packed, packed).reshape(-1)
         keys += (box - 1) // 2  # key(0)
         if 9 * box <= TABLE_BYTES:
             mark = np.zeros(box, dtype=bool)
@@ -222,13 +245,15 @@ class PairStructure:
         else:
             uniq, inv = np.unique(keys, return_inverse=True)
         del keys
-        taus = unpack_keys(uniq, dim, bias, radix)
-        self.taus = taus
+        self.taus = unpack_keys(uniq, dim, bias, radix)
         self.bins = np.empty(2 * s * s, dtype=np.intp)
         np.multiply(inv.reshape(-1), 2, out=self.bins[0::2])
         np.add(self.bins[0::2], 1, out=self.bins[1::2])
         self.size = s
-        self.n_taus = len(taus)
+        self.n_taus = len(self.taus)
+
+    def vector(self, coeffs: EigenfunctionCoeffs) -> np.ndarray:
+        return np.array([coeffs.amplitudes.get(p, 0.0) for p in self.points], dtype=np.complex128)
 
     def accumulate(self, a: np.ndarray) -> np.ndarray:
         """b_tau array for amplitude vector `a` aligned with the support."""
@@ -241,6 +266,29 @@ class PairStructure:
         """values[k] for each pair i*s + j, k the position of xi_i - xi_j; complex128 in."""
         return values.view(np.float64)[self.bins].view(np.complex128)
 
+    def spectrum(self, a: np.ndarray) -> AutocorrelationSpectrum:
+        """The spectrum of `a` over every difference of the support, zero values included."""
+        return AutocorrelationSpectrum(dim=self.shell.dim, lam=self.shell.lam, taus=self.taus,
+                                       values=self.accumulate(a))
+
+    def _weights(self, b: np.ndarray, mags: np.ndarray, p: float) -> np.ndarray:
+        if p == 2:
+            return p * b
+        scale = np.power(mags, p - 2, out=np.zeros_like(mags), where=~(mags < GRAD_ZERO_TOL))
+        return p * scale * b
+
+    def power_value(self, a: np.ndarray, p: float) -> float:
+        """f = sum |b_tau|^p."""
+        return float(power_sum(np.abs(self.accumulate(a)), p))
+
+    def power_value_and_gradient(self, a: np.ndarray, p: float) -> tuple[float, np.ndarray]:
+        """f and its gradient."""
+        b = self.accumulate(a)
+        mags = np.abs(b)
+        f = float(power_sum(mags, p))
+        matrix = self.gather(self._weights(b, mags, p)).reshape(self.size, self.size)
+        return f, 2.0 * (matrix @ a)
+
 
 def autocorrelation(coeffs: EigenfunctionCoeffs) -> AutocorrelationSpectrum:
     """Fourier coefficients of |phi|^2: b_tau = sum_{xi-eta=tau} a_xi conj(a_eta).
@@ -251,14 +299,8 @@ def autocorrelation(coeffs: EigenfunctionCoeffs) -> AutocorrelationSpectrum:
     rounding accuracy: the pair (i, j) and its transpose contribute
     conjugate terms in matching accumulation order.
     """
-    supp = coeffs.support
-    a = np.array([coeffs.amplitudes[p] for p in supp], dtype=np.complex128)
-    arr = np.array(supp, dtype=np.int64).reshape(len(supp), coeffs.shell.dim)
-    ps = PairStructure(coeffs.shell.dim, coeffs.shell.lam, arr)
-    values = ps.accumulate(a)
-    return AutocorrelationSpectrum(
-        dim=coeffs.shell.dim, lam=coeffs.shell.lam, taus=ps.taus, values=values
-    )
+    engine = SpectrumEngine(coeffs.shell, coeffs.support)
+    return engine.spectrum(engine.vector(coeffs))
 
 
 def require_exponent(p: float, least: float, caller: str) -> None:
@@ -339,7 +381,11 @@ def check_theorem(coeffs: EigenfunctionCoeffs) -> BoundReport:
     bound_value is absent and the report trivially passes.
     """
     dim = coeffs.shell.dim
-    norm = lp_norm(autocorrelation(coeffs), dim)
+    return _theorem_report(dim, lp_norm(autocorrelation(coeffs), dim))
+
+
+def _theorem_report(dim: int, norm: float) -> BoundReport:
+    """The l^dim norm `norm` of a spectrum, judged against the dimensional bound."""
     bound, passed = bound_verdict(dim, dim, norm)
     return BoundReport(p=float(dim), norm_value=norm, bound_value=bound, passed=passed)
 

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ContractError, ResourceLimitError
 from .lattice import enumerate_shell
 from .lemma import LemmaSweepReport, verify_lemma
-from .spectra import BoundReport, check_theorem, random_coeffs
+from .spectra import BoundReport, SpectrumEngine, _theorem_report, lp_norm, random_coeffs
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,9 @@ def sweep(dim: int, lam_min: int, lam_max: int, random_trials: int = 1, seed: in
 
     Trial t on lambda checks gaussian coefficients seeded from
     SeedSequence([seed, lambda, t]), seed >= 0, one collision-free stream per
-    (lambda, t). The lemma sweep is sampled (`lemma_sample` valid simplices,
-    `seed`) when a size is given, else exhaustive, and None when refused.
+    (lambda, t); all trials on lambda share one spectrum engine. The lemma
+    sweep is sampled (`lemma_sample` valid simplices, `seed`) when a size is
+    given, else exhaustive, and None when refused.
     """
     if seed < 0:
         raise ContractError(f"seed must be >= 0, got {seed}")
@@ -47,8 +48,11 @@ def sweep(dim: int, lam_min: int, lam_max: int, random_trials: int = 1, seed: in
             continue
         seeds = (np.random.SeedSequence([seed, lam, t]).generate_state(1, np.uint64)[0]
                  for t in range(random_trials))
-        theorem = max((check_theorem(random_coeffs(shell, seed=int(s))) for s in seeds),
-                      key=lambda report: report.norm_value)
+        engine = SpectrumEngine(shell)  # gaussian trials are supported on the whole shell
+        theorem = _theorem_report(dim, max(
+            lp_norm(engine.spectrum(engine.vector(random_coeffs(shell, seed=int(s)))), dim)
+            for s in seeds))
+        del engine  # frees the pair index before the lemma sweep builds its tables
         if lemma_sample is not None:
             lemma = verify_lemma(shell, mode="sampled", count=lemma_sample, seed=seed)
         else:

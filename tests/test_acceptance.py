@@ -109,9 +109,10 @@ def test_c03_theorem_bound_dim5_random_trials():
     violations = 0
     for lam in (4, 5, 6, 9, 10, 13):
         shell = enumerate_shell(5, lam)
+        engine = SpectrumEngine(shell)  # gaussian vectors are supported on the whole shell
         for trial in range(200):
             coeffs = random_coeffs(shell, seed=lam * 1000 + trial, mode="gaussian")
-            value = lp_norm(autocorrelation(coeffs), 5)
+            value = lp_norm(engine.spectrum(engine.vector(coeffs)), 5)
             worst = max(worst, value)
             if value > C5_PRINTED + 1e-9:
                 violations += 1
@@ -279,8 +280,9 @@ def test_c08_b0_identity_and_hermitian_symmetry():
     worst_b0 = worst_sym = 0.0
     for dim, shell in shells.items():
         zero = tuple([0] * dim)
+        engine = SpectrumEngine(shell)
         for _ in range(200):
-            entries = autocorrelation(random_raw_coeffs(shell, rng)).entries
+            entries = engine.spectrum(engine.vector(random_raw_coeffs(shell, rng))).entries
             worst_b0 = max(worst_b0, abs(entries[zero] - 1.0))
             worst_sym = max(
                 worst_sym,

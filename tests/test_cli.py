@@ -445,6 +445,24 @@ def test_cli_entrypoint_subprocess():
     assert proc.stdout.strip() == "12"
 
 
+def test_closed_stdout_exits_2_without_a_traceback():
+    # a reader that stops early, as in `... | head -c 10`: 4.6 MB of output meet
+    # a closed pipe, and the command stops with nothing on stderr
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torus_spectra", "spectrum", "--dim", "6", "--lambda", "6",
+         "--random", "gaussian"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 2
+    with proc.stderr:
+        assert proc.stderr.read() == b""
+
+
 def test_extremize_stdout_does_not_depend_on_blas_threads():
     # the gradient's matvec runs in OpenBLAS; its thread count must not reach the report
     import subprocess

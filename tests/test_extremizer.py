@@ -16,7 +16,6 @@ from torus_spectra import (
     SpectrumEngine,
     bound_constant,
     enumerate_shell,
-    extremizer,
     finite_difference_gradient,
     gradient,
     lattice,
@@ -26,8 +25,8 @@ from torus_spectra import (
     random_coeffs,
 )
 from torus_spectra import spectra
-from torus_spectra.extremizer import GRAD_ZERO_TOL, _ascend
-from torus_spectra.spectra import PairStructure, power_sum
+from torus_spectra.extremizer import _ascend
+from torus_spectra.spectra import GRAD_ZERO_TOL, power_sum
 
 
 def brute_power(shell, points, p):
@@ -276,7 +275,7 @@ def test_ascent_evaluation_counts(monkeypatch):
     calls = dict.fromkeys(("power_value", "power_value_and_gradient", "accumulate"), 0)
     for cls, name in ((SpectrumEngine, "power_value"),
                       (SpectrumEngine, "power_value_and_gradient"),
-                      (PairStructure, "accumulate")):
+                      (SpectrumEngine, "accumulate")):
         def counted(*args, _fn=getattr(cls, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -298,14 +297,14 @@ def test_maximize_builds_no_pair_structure_for_the_winner(monkeypatch, threads, 
     # the winner's objective over its support, and nothing for the winner's
     # coefficients; the restarts' build is freed first
     built = []
-    init = PairStructure.__init__
+    init = SpectrumEngine.__init__
 
-    def counted(self, dim, lam, supp):
+    def counted(self, shell, support=None):
         assert all(ref() is None for _, ref in built), "an earlier build is still alive"
-        init(self, dim, lam, supp)
-        built.append((len(supp), weakref.ref(self)))
+        init(self, shell, support)
+        built.append((self.size, weakref.ref(self)))
 
-    monkeypatch.setattr(PairStructure, "__init__", counted)
+    monkeypatch.setattr(SpectrumEngine, "__init__", counted)
     report = maximize(enumerate_shell(2, 65), 4.0, ExtremizerConfig(restarts=2, max_iters=50),
                       threads=threads)
     assert [size for size, _ in built] == expected
@@ -337,9 +336,9 @@ def test_maximize_opens_no_pool(monkeypatch):
 ], ids=["repeated", "empty", "off-shell"])
 def test_support_is_refused_before_any_work(monkeypatch, support, message):
     def no_build(*args, **kwargs):
-        raise AssertionError("a pair structure was built")
+        raise AssertionError("a pair index build started")
 
-    monkeypatch.setattr(PairStructure, "__init__", no_build)
+    monkeypatch.setattr(spectra, "pack_spec", no_build)
     shell = enumerate_shell(5, 5)
     with pytest.raises(ContractError, match=message):
         SpectrumEngine(shell, support(shell.points))
@@ -385,10 +384,10 @@ def unmasked_weights(self, b, mags, p):
 
 
 def unmasked_value_and_gradient(engine, a, p):
-    b = engine._pairs.accumulate(a)
+    b = engine.accumulate(a)
     mags = np.abs(b)
-    s = engine._pairs.size
-    matrix = engine._pairs.gather(unmasked_weights(None, b, mags, p)).reshape(s, s)
+    s = engine.size
+    matrix = engine.gather(unmasked_weights(None, b, mags, p)).reshape(s, s)
     return float(unmasked_power_sum(mags, p)), 2.0 * (matrix @ a)
 
 
@@ -406,8 +405,8 @@ def assert_matches_unmasked(engine, a, p, same=bitwise_equal):
     assert same(f, want_f) and same(g, want_g)
     assert same(engine.power_value(a, p), want_f)
     spectrum = AutocorrelationSpectrum(dim=engine.shell.dim, lam=engine.shell.lam,
-                                       taus=engine._pairs.taus,
-                                       values=engine._pairs.accumulate(a))
+                                       taus=engine.taus,
+                                       values=engine.accumulate(a))
     assert same(lp_norm(spectrum, p), unmasked_lp_norm(spectrum, p))
 
 
@@ -431,7 +430,7 @@ def test_power_sums_equal_the_unmasked_ones_on_every_iterate(monkeypatch, dim, l
     skipped = 0
     for a in seen:
         assert_matches_unmasked(engine, a, p)
-        skipped += int((np.abs(engine._pairs.accumulate(a)) < 1e-100).any())
+        skipped += int((np.abs(engine.accumulate(a)) < 1e-100).any())
     assert skipped > 0  # the mask has terms to skip
 
 
@@ -488,7 +487,6 @@ def test_stdout_equals_the_unmasked_formulas(monkeypatch, command):
     # oracle is the same command on the same machine with every power unmasked
     code, out, err = run_cli(command.split())
     monkeypatch.setattr(spectra, "power_sum", unmasked_power_sum)
-    monkeypatch.setattr(extremizer, "power_sum", unmasked_power_sum)
     monkeypatch.setattr(SpectrumEngine, "_weights", unmasked_weights)
     assert (code, err) == (0, "")
     assert run_cli(command.split()) == (code, out, err)

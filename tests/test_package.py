@@ -23,8 +23,8 @@ EXPORTS = {
         "ResourceLimitError", "TorusSpectraError",
     ],
     "extremizer": [
-        "AscentRun", "ExtremalReport", "ExtremizerConfig", "SpectrumEngine",
-        "finite_difference_gradient", "gradient", "maximize", "objective",
+        "AscentRun", "ExtremalReport", "ExtremizerConfig", "finite_difference_gradient",
+        "gradient", "maximize", "objective",
     ],
     "lattice": ["Point", "SphereShell", "contains", "enumerate_shell", "shell_to_json",
                 "sign_canonical"],
@@ -32,7 +32,7 @@ EXPORTS = {
               "sweep_to_json", "validate_simplex", "verify_lemma"],
     "spectra": [
         "AutocorrelationSpectrum", "BoundReport", "EigenfunctionCoeffs", "ParsevalResult",
-        "applicable_bound", "autocorrelation", "bound_constant", "bound_verdict",
+        "SpectrumEngine", "applicable_bound", "autocorrelation", "bound_constant", "bound_verdict",
         "check_theorem", "coeffs_from_json", "coeffs_to_json", "grid_density", "lp_norm",
         "min_alias_free_grid", "parseval_check", "random_coeffs",
     ],

@@ -23,6 +23,7 @@ from torus_spectra import (
     EigenfunctionCoeffs,
     MembershipError,
     RangeError,
+    SpectrumEngine,
     SphereShell,
     applicable_bound,
     autocorrelation,
@@ -40,7 +41,7 @@ from torus_spectra import (
 from torus_spectra import jsonfmt, spectra
 from torus_spectra._packing import pack_rows, pack_spec
 from torus_spectra.errors import ResourceLimitError
-from torus_spectra.spectra import PairStructure, spectrum_entries_json
+from torus_spectra.spectra import spectrum_entries_json
 
 RT2 = math.sqrt(0.5)
 
@@ -218,18 +219,18 @@ def test_accumulate_and_gather_match_two_bincount_formula(dim, lam):
     taus, inv = np.unique((supp[:, None, :] - supp[None, :, :]).reshape(s * s, dim), axis=0,
                           return_inverse=True)
     inv = inv.reshape(-1)
-    ps = PairStructure(dim, lam, supp)
-    assert np.array_equal(ps.taus, taus)
+    engine = SpectrumEngine(enumerate_shell(dim, lam))
+    assert np.array_equal(engine.taus, taus)
     rng = np.random.default_rng(dim * 1000 + lam)
     for _ in range(3):
         a = rng.standard_normal(s) + 1j * rng.standard_normal(s)
         outer = (a[:, None] * a.conj()[None, :]).reshape(-1)
         br = np.bincount(inv, weights=np.ascontiguousarray(outer.real), minlength=len(taus))
         bi = np.bincount(inv, weights=np.ascontiguousarray(outer.imag), minlength=len(taus))
-        b = ps.accumulate(a)
+        b = engine.accumulate(a)
         assert np.array_equal(b, br + 1j * bi)
         w = rng.standard_normal(len(taus)) + 1j * rng.standard_normal(len(taus))
-        assert np.array_equal(ps.gather(w), w[inv])
+        assert np.array_equal(engine.gather(w), w[inv])
 
 
 def _pair_cases():
@@ -253,6 +254,7 @@ def test_pair_index_matches_unique_over_difference_rows(case, branch, monkeypatc
     taus, inv = np.unique((supp[:, None, :] - supp[None, :, :]).reshape(s * s, dim), axis=0,
                           return_inverse=True)
     bins = np.stack([2 * inv.reshape(-1), 2 * inv.reshape(-1) + 1], axis=1).reshape(-1)
+    shell, support = enumerate_shell(dim, lam), tuple(map(tuple, supp.tolist()))
     _, radix = pack_spec(dim, 2 * math.isqrt(lam))
     assert 9 * radix**dim <= spectra.TABLE_BYTES  # every case fits the table by default
     if branch == "sorted":
@@ -260,11 +262,11 @@ def test_pair_index_matches_unique_over_difference_rows(case, branch, monkeypatc
     marked = []
     flatnonzero = np.flatnonzero
     monkeypatch.setattr(np, "flatnonzero", lambda a: marked.append(len(a)) or flatnonzero(a))
-    ps = PairStructure(dim, lam, supp)
+    engine = SpectrumEngine(shell, support)
     assert marked == ([radix**dim] if branch == "table" else [])
-    assert ps.taus.dtype == taus.dtype and np.array_equal(ps.taus, taus)
-    assert ps.bins.dtype == np.intp and np.array_equal(ps.bins, bins)
-    assert ps.size == s and ps.n_taus == len(taus)
+    assert engine.taus.dtype == taus.dtype and np.array_equal(engine.taus, taus)
+    assert engine.bins.dtype == np.intp and np.array_equal(engine.bins, bins)
+    assert engine.size == s and engine.n_taus == len(taus)
 
 
 def test_pair_guard_refuses_by_bytes_before_allocating(monkeypatch):
@@ -272,17 +274,18 @@ def test_pair_guard_refuses_by_bytes_before_allocating(monkeypatch):
     # difference rows, which the packed build never forms (it peaks at about 18 MB
     # of keys, inv, bins and box tables). The estimate is kept on purpose: resizing
     # it would change which supports, and so which commands, exit 2.
-    supp = np.array(enumerate_shell(5, 14).points, dtype=np.int64)
+    shell = enumerate_shell(5, 14)
     monkeypatch.setattr(spectra, "PAIR_INDEX_BYTES", 10**6)
-    peak, raised = peak_bytes_of(lambda: PairStructure(5, 14, supp))
+    peak, raised = peak_bytes_of(lambda: SpectrumEngine(shell))
     assert isinstance(raised, ResourceLimitError) and "bytes" in str(raised)
     assert peak < 10**5
     monkeypatch.undo()
-    # at the default budget: the largest shell in use builds, and 6000 points
-    # in dim 5 (about 2.6 GB) are refused up front
-    assert PairStructure(5, 14, supp).size == 800
-    many = np.zeros((6000, 5), np.int64)
-    peak, raised = peak_bytes_of(lambda: PairStructure(5, 5, many))
+    # at the default budget: the largest shell in use builds, and shell(5,50)'s
+    # 5,240 points (about 2.0 GB) are refused up front
+    assert SpectrumEngine(shell).size == 800
+    many = enumerate_shell(5, 50)
+    assert len(many) == 5240
+    peak, raised = peak_bytes_of(lambda: SpectrumEngine(many))
     assert isinstance(raised, ResourceLimitError)
     assert peak < 10**5
 
@@ -291,19 +294,19 @@ def test_pair_build_holds_no_difference_rows():
     # keys, inv and the two bins per pair, 8 bytes each, beside the box's mark
     # and rank tables: no (s^2, dim) temporary fits under this bound, and only
     # taus and bins outlive the build
-    supp = np.array(enumerate_shell(6, 6).points, dtype=np.int64)
-    s = len(supp)
+    shell = enumerate_shell(6, 6)
+    s = len(shell)
     _, radix = pack_spec(6, 2 * math.isqrt(6))
     tracemalloc.start()
     try:
-        ps = PairStructure(6, 6, supp)
+        engine = SpectrumEngine(shell)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ps.size == s == 544
+    assert engine.size == s == 544
     bound = 4 * 8 * s * s + 9 * radix**6 + 2**16
     assert peak <= bound < peak + 8 * s * s * 6
-    assert held <= ps.taus.nbytes + ps.bins.nbytes + 2**16
+    assert held <= engine.taus.nbytes + engine.bins.nbytes + 2**16
 
 
 @pytest.mark.parametrize("pretty,multiple", [(True, 3.4), (False, 4.6)])
@@ -323,13 +326,13 @@ def test_autocorrelation_releases_its_pair_index(monkeypatch):
     # the spectrum keeps its taus and values; the pair index it was summed
     # over (4.7 MB of bins on shell(6,6)) is gone once autocorrelation returns
     refs = []
-    init = PairStructure.__init__
+    init = SpectrumEngine.__init__
 
-    def recorded(self, dim, lam, supp):
-        init(self, dim, lam, supp)
+    def recorded(self, shell, support=None):
+        init(self, shell, support)
         refs.append(weakref.ref(self))
 
-    monkeypatch.setattr(PairStructure, "__init__", recorded)
+    monkeypatch.setattr(SpectrumEngine, "__init__", recorded)
     coeffs = random_coeffs(enumerate_shell(6, 6), 1)
     tracemalloc.start()
     try:

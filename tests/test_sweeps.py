@@ -1,7 +1,17 @@
+import weakref
+
 import pytest
 from conftest import reference_sweep, reference_sweep_csv, run_cli
 
-from torus_spectra import ContractError, LemmaSweepReport, SweepRow, sweep
+from torus_spectra import (
+    ContractError,
+    LemmaSweepReport,
+    SpectrumEngine,
+    SweepRow,
+    enumerate_shell,
+    sweep,
+    sweeps,
+)
 
 # (dim, lambda-min, lambda-max, random trials, seed, lemma sample)
 CASES = [
@@ -55,3 +65,28 @@ def test_sweep_leaves_the_lemma_column_blank_past_the_exhaustive_guard():
 def test_sweep_refuses_bad_ranges_and_trials(lo, hi, trials, message):
     with pytest.raises(ContractError, match=message):
         sweep(2, lo, hi, random_trials=trials)
+
+
+def test_sweep_builds_one_engine_per_shell_and_frees_it_before_the_lemma(monkeypatch):
+    # both gaussian trials on a shell share its engine, and the pair index is
+    # gone before that shell's lemma sweep starts; `reference_sweep` above,
+    # one autocorrelation per trial, stays the independent oracle of the values
+    built, lemma_calls = [], []
+    init, verify = SpectrumEngine.__init__, sweeps.verify_lemma
+
+    def counted(self, shell, support=None):
+        init(self, shell, support)
+        built.append((shell.lam, self.size, weakref.ref(self)))
+
+    def verify_after_release(shell, *args, **kwargs):
+        lemma_calls.append((shell.lam, [ref() is None for _, _, ref in built]))
+        return verify(shell, *args, **kwargs)
+
+    monkeypatch.setattr(SpectrumEngine, "__init__", counted)
+    monkeypatch.setattr(sweeps, "verify_lemma", verify_after_release)
+    rows = sweep(2, 1, 30, random_trials=2)
+    shells = [(lam, len(enumerate_shell(2, lam))) for lam in range(1, 31)]
+    shells = [(lam, n) for lam, n in shells if n]
+    assert [(row.lam, row.shell_count) for row in rows] == shells
+    assert [(lam, size) for lam, size, _ in built] == shells
+    assert lemma_calls == [(lam, [True] * (i + 1)) for i, (lam, _) in enumerate(shells)]
