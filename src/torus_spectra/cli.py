@@ -42,16 +42,16 @@ def _emit(obj, args) -> None:
 
 
 def _parse_random_mode(text: str) -> tuple[str, int | None]:
-    mode, _, suffix = text.partition(":")
+    mode, colon, suffix = text.partition(":")
     if mode not in ("uniform", "gaussian", "sparse"):
         raise TorusSpectraError(f"unknown random mode {text!r}")
-    if suffix:
-        if mode != "sparse":
-            raise TorusSpectraError(f"only sparse takes a size suffix, got {text!r}")
+    if mode == "sparse" and colon:
         try:
-            return mode, int(suffix)
+            return mode, int(suffix)  # an empty size raises too
         except ValueError:
             raise TorusSpectraError(f"bad sparse size in {text!r}") from None
+    if suffix:
+        raise TorusSpectraError(f"only sparse takes a size suffix, got {text!r}")
     return mode, None
 
 

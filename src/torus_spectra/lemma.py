@@ -19,7 +19,7 @@ move the anchor onto the shell, so {+-(v_1 - eta) : eta in shell} already
 contains every admissible class. All arithmetic is exact; affine rank is
 decided by integer elimination, never by a floating-point tolerance.
 
-Both sweeps share one table per shell, the points packed into sorted int64
+Both sweeps use one table of the shell, the points packed into sorted int64
 keys, and one kernel that classifies a batch of subsets with array
 operations: antipodal by antipode indices, degenerate by fraction-free
 elimination in int64 (guarded by Hadamard's bound), then the anchor's
@@ -47,13 +47,14 @@ at a time, each level tested in chunks by array operations over (prefix,
 group element) pairs, so the cost is a few numpy calls per chunk rather
 than per prefix. Each violation found stands for its orbit: it is
 re-derived through the reference path once, and every other member's report
-is its exact image under a group element. Sweeps run in the calling process.
+is its exact image under a group element. Sweeps run in the calling process
+and keep nothing between calls: each builds its table, and an exhaustive
+sweep its group, once, and frees them when it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, isqrt
 from operator import sub
@@ -68,7 +69,7 @@ from .errors import (
     MembershipError,
     ResourceLimitError,
 )
-from .lattice import Point, SphereShell, enumerate_shell, negate, require_whole
+from .lattice import Point, SphereShell, negate, require_whole
 
 EXHAUSTIVE_GUARD = 10**7
 SAMPLE_ATTEMPT_FACTOR = 50
@@ -252,13 +253,13 @@ class _Tables:
 
     def __init__(self, shell: SphereShell):
         spec = pack_spec(shell.dim, 3 * isqrt(shell.lam))
+        self.shell = shell
         self.dim = shell.dim
-        self.points = shell.points
-        self.n = len(self.points)
+        self.n = len(shell)
         # the points are sorted and closed under negation, which reverses the order
         self.neg = np.arange(self.n)[::-1]
         self.spec = spec
-        self.arr = np.array(self.points, dtype=np.int64).reshape(self.n, shell.dim)
+        self.arr = np.array(shell.points, dtype=np.int64).reshape(self.n, shell.dim)
         self.keys = pack_rows(self.arr, *spec)  # ascending: points are in lexicographic order
         self.member = None
         if spec[1] ** shell.dim <= TABLE_BYTES:
@@ -286,11 +287,6 @@ class _Tables:
             k = self.keys[S[:, col, None]]
             hit &= self.on_shell(k - chords) | self.on_shell(k + chords)
         return hit.sum(1), chords[hit]
-
-
-@lru_cache(maxsize=4)
-def _tables(dim: int, lam: int) -> _Tables:
-    return _Tables(enumerate_shell(dim, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +381,14 @@ def _classify_buffered(tb: _Tables, blocks, start: int):
 
     Each block (S, first, count, chords, w) holds subsets S, their weights w
     and their candidates as in `_classify`, those of S[i] in chords[first[i] :
-    first[i] + count[i]]; with first None, the block lists them subset by
-    subset and costs at most CHUNK_ELEMENTS. A subset costs one element and
-    one per candidate; other blocks are cut into runs of whole subsets, and
-    the runs are buffered while the chunk costs at most CHUNK_ELEMENTS (a
-    costlier subset goes alone); yields (S, w, outcomes) for each chunk.
+    first[i] + count[i]]. A subset costs one element and one per candidate;
+    blocks are cut into runs of whole subsets, and the runs are buffered
+    while the chunk costs at most CHUNK_ELEMENTS (a costlier subset goes
+    alone); yields (S, w, outcomes) for each chunk.
     """
 
     def runs():
         for S, first, count, chords, w in blocks:
-            if first is None:
-                yield S, count, chords, w
-                continue
             end = np.cumsum(count + 1)
             lo = done = 0
             while lo < len(S):
@@ -453,14 +445,13 @@ def _classify_buffered(tb: _Tables, blocks, start: int):
 # {sorted(h(S)) : h in H}, whose reports `_orbit_reports` maps from its own.
 
 
-@lru_cache(maxsize=4)
-def _group(dim: int, lam: int, kind: str) -> np.ndarray:
-    """(|H|, N) int32 table of a group H on shell(dim, lam): row h holds h(p)'s index for each p.
+def _group(tb: _Tables, kind: str) -> np.ndarray:
+    """(|H|, N) int32 table of a group H on tb's shell: row h holds h(p)'s index for each p.
 
     kind is "signed-permutations" (B_n, 2^n n! elements), "sign-changes"
     (its 2^n diagonal elements) or "trivial".
     """
-    tb = _tables(dim, lam)
+    dim = tb.dim
     perms = list(permutations(range(dim))) if kind == "signed-permutations" else [range(dim)]
     signs = np.array([(1,) * dim] if kind == "trivial" else list(product((1, -1), repeat=dim)))
     blocks = []
@@ -559,11 +550,10 @@ def _canonical_sets(H: np.ndarray, m: int, neg: np.ndarray | None = None):
         level = np.concatenate(nxt) if nxt else np.zeros((0, k + 1), dtype=np.intp)
 
 
-def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
-    """Report fields of the exhaustive sweep of m-subsets, generated under the group `kind`."""
-    dim, lam, n = shell.dim, shell.lam, len(shell)
-    tb = _tables(dim, lam)
-    H = _group(dim, lam, kind)
+def _exhaustive(tb: _Tables, m: int, kind: str) -> dict:
+    """Report fields of the exhaustive sweep of m-subsets of tb's shell under the group `kind`."""
+    n = tb.n
+    H = _group(tb, kind)
     hist = np.zeros(n + 2, dtype=np.int64)  # outcomes -2 to N - 1
     hist[1] = comb(n, m) - 2**m * comb(n // 2, m)  # raises OverflowError rather than wrap
     reps = []
@@ -577,13 +567,11 @@ def _exhaustive(shell: SphereShell, m: int, kind: str) -> dict:
 
     for S, weight, out in _classify_buffered(tb, blocks(), m - 1):
         np.add.at(hist, out + 2, weight)
-        reps += S[out > 2 ** (dim - 1)].tolist()
-    return _sweep_fields(hist, _orbit_reports(shell, tb, H, reps))
+        reps += S[out > 2 ** (tb.dim - 1)].tolist()
+    return _sweep_fields(hist, _orbit_reports(tb, H, reps))
 
 
-def _orbit_reports(
-    shell: SphereShell, tb: _Tables, H: np.ndarray, reps
-) -> tuple[TranslateReport, ...]:
+def _orbit_reports(tb: _Tables, H: np.ndarray, reps) -> tuple[TranslateReport, ...]:
     """Reports of every member of the orbits {sorted(h(R)) : h in H} of the rows reps, in index order.
 
     Each R goes through the reference path once. An element h maps the
@@ -594,6 +582,7 @@ def _orbit_reports(
     classes in lexicographic order; each distinct key is unpacked once, to
     one tuple that every report holding the class shares.
     """
+    shell = tb.shell
     k0 = (tb.spec[1] ** tb.dim - 1) // 2  # the key of 0
     classes: dict[Point, set[Point]] = {}
     rows, keys, edge_keys = [], [], []
@@ -653,14 +642,16 @@ def _classify_drawn(tb: _Tables, S: np.ndarray) -> np.ndarray:
     """Kernel outcomes of drawn subsets, each anchored at its first index.
 
     The anchor's N - 1 chord keys are filtered through the second vertex
-    here, CHUNK_ELEMENTS at a time, and the survivors go to the kernel.
+    here, CHUNK_ELEMENTS at a time, and the survivors go to the kernel. A
+    part costs at most CHUNK_ELEMENTS or holds one subset, so it makes one run.
     """
 
     def blocks():
         step = max(1, CHUNK_ELEMENTS // tb.n)
         for lo in range(0, len(S), step):
             part = S[lo : lo + step]
-            yield part, None, *tb.admissible(part[:, :2]), np.ones(len(part), dtype=np.int64)
+            count, chords = tb.admissible(part[:, :2])
+            yield part, np.cumsum(count) - count, count, chords, np.ones(len(part), dtype=np.int64)
 
     return np.concatenate([out for _, _, out in _classify_buffered(tb, blocks(), 2)])
 
@@ -694,8 +685,9 @@ def verify_lemma(
     modes run in the calling process; `threads` is accepted and changes
     nothing. The result is deterministic for a fixed seed, and violations, if
     any exist, are preserved verbatim.
-    `shell` must be the whole enumerated shell: the sweep's tables come from
-    enumerating (dim, lam), so a hand-built subset is refused.
+    `shell` must be the whole enumerated shell, so a hand-built subset is
+    refused. The sweep builds its tables, and an exhaustive sweep its group,
+    once from that shell; they are freed when the call returns.
     """
     if extra_points < 0:
         raise ContractError(f"extra_points must be >= 0, got {extra_points}")
@@ -719,7 +711,7 @@ def verify_lemma(
             f"{EXHAUSTIVE_GUARD}; use sampled mode"
         )
     require_whole(shell, "sweep the enumerated shell")
-    tables = _tables(shell.dim, shell.lam)
+    tb = _Tables(shell)
     if n < m or (mode == "exhaustive" and 2 * m > n):
         # every m-subset, if any, holds one of the n/2 antipodal pairs
         hist = np.array([0, comb(n, m)], dtype=np.int64)
@@ -732,7 +724,7 @@ def verify_lemma(
         order = 2**shell.dim * factorial(shell.dim)
         full = order <= comb(n, m - 1) and _group_bytes(order, n) <= TABLE_BYTES
         group = "signed-permutations" if full else "sign-changes"
-        return LemmaSweepReport(**base, **_exhaustive(shell, m, group))
+        return LemmaSweepReport(**base, **_exhaustive(tb, m, group))
 
     rng = np.random.default_rng(seed)
     cap = SAMPLE_ATTEMPT_FACTOR * count
@@ -742,7 +734,7 @@ def verify_lemma(
     while checked < count and attempts < cap:
         want = min(cap - attempts, max(1024, count - checked + (count - checked) // 8))
         S = _draw_subsets(rng, n, m, want)
-        out = _classify_drawn(tables, S)
+        out = _classify_drawn(tb, S)
         # stop at the subset that completes `count`, as a one-by-one loop would
         cum = np.cumsum(out >= 0)
         if cum[-1] >= count - checked:

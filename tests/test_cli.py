@@ -146,7 +146,8 @@ def test_spectrum_sparse_mode_with_size():
     )
     assert code == 2 and "random mode" in err
     for mode, message in [("uniform:3", "only sparse takes a size suffix, got 'uniform:3'"),
-                          ("sparse:x", "bad sparse size in 'sparse:x'")]:
+                          ("sparse:x", "bad sparse size in 'sparse:x'"),
+                          ("sparse:", "bad sparse size in 'sparse:'")]:
         code, out, err = run_cli(["spectrum", "--dim", "2", "--lambda", "25", "--random", mode])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import weakref
 from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb, factorial
@@ -39,7 +40,6 @@ from torus_spectra.lemma import (
     _exhaustive,
     _group,
     _reference_reports,
-    _tables,
     _Tables,
     _translate_sets,
     affine_rank,
@@ -272,7 +272,7 @@ def test_orderly_generation_visits_each_orbit_once(dim, lam, orbits):
     from Burnside's lemma over its cycle structure on the shell.
     """
     shell = enumerate_shell(dim, lam)
-    table = _group(dim, lam, "signed-permutations")
+    table = _group(_Tables(shell), "signed-permutations")
     group = _signed_permutations(shell)
     assert len(table) == len(group) == 2**dim * factorial(dim)
     assert set(map(tuple, table.tolist())) == group
@@ -296,13 +296,14 @@ def test_pruned_generation_counts_antipodal_free_subsets(dim, lam):
     n = len(shell)
     pair = [min(i, shell.points.index(negate(p))) for i, p in enumerate(shell.points)]
     free = sum(len({pair[i] for i in S}) == dim for S in combinations(range(n), dim))
-    table = _group(dim, lam, "signed-permutations")
-    leaves = _canonical_sets(table, dim, _tables(dim, lam).neg)
+    tb = _Tables(shell)
+    table = _group(tb, "signed-permutations")
+    leaves = _canonical_sets(table, dim, tb.neg)
     weight = sum(int((len(table) // stab).sum()) for *_, stab in leaves)
     assert weight == free
     antipodal = comb(n, dim) - free
     assert comb(n, dim) - 2**dim * comb(n // 2, dim) == antipodal
-    assert _exhaustive(shell, dim, "signed-permutations")["skipped_antipodal"] == antipodal
+    assert _exhaustive(tb, dim, "signed-permutations")["skipped_antipodal"] == antipodal
 
 
 GROUPS = {"B": "signed-permutations", "S": "sign-changes", "T": "trivial"}
@@ -332,8 +333,9 @@ def _oracle_sequence(H, m, neg):
 ])
 def test_level_generation_matches_per_prefix_oracle(dim, lam, m, kind, anti):
     """The level-at-a-time generator's chunks hold the per-prefix oracle's (P, J, stab) sequence."""
-    H = _group(dim, lam, kind)
-    neg = _tables(dim, lam).neg if anti else None
+    tb = _Tables(enumerate_shell(dim, lam))
+    H = _group(tb, kind)
+    neg = tb.neg if anti else None
     assert _prefix_sequence(_canonical_sets(H, m, neg)) == _oracle_sequence(H, m, neg)
 
 
@@ -351,8 +353,8 @@ def test_level_generation_matches_per_prefix_oracle(dim, lam, m, kind, anti):
 )
 def test_group_choice_does_not_change_reports(dim, lam, extra, kinds):
     """Any subgroup of B_n gives exact tallies: the orbit weights make up the difference."""
-    shell = enumerate_shell(dim, lam)
-    reports = [_exhaustive(shell, dim + extra, kind) for kind in kinds]
+    tb = _Tables(enumerate_shell(dim, lam))
+    reports = [_exhaustive(tb, dim + extra, kind) for kind in kinds]
     assert all(report == reports[0] for report in reports[1:])
 
 
@@ -367,9 +369,9 @@ def test_group_choice_follows_prefix_count_and_table_budget(monkeypatch):
     """
     built = []
 
-    def recording_group(dim, lam, kind):
-        built.append((dim, lam, kind))
-        return _group(dim, lam, kind)
+    def recording_group(tb, kind):
+        built.append((tb.dim, tb.shell.lam, kind))
+        return _group(tb, kind)
 
     monkeypatch.setattr(lemma, "_group", recording_group)
     for dim, lam in [(4, 12), (5, 2), (6, 1)]:
@@ -494,7 +496,7 @@ def test_sampled_fast_path_agrees_with_reference(dim, lam, m):
             translates, edges = _translate_sets(shell, verts)
             expected.append(len(translates) - len(edges))
     assert -1 in expected  # antipodal draws are exercised on every shell
-    got = _classify_drawn(_tables(dim, lam), S).tolist()
+    got = _classify_drawn(_Tables(shell), S).tolist()
     bad = [(S[i].tolist(), g, e) for i, (g, e) in enumerate(zip(got, expected)) if g != e]
     assert not bad, bad[:5]
 
@@ -563,19 +565,15 @@ def test_direct_membership_agrees_with_binary_search(dim, lam, monkeypatch):
         return on_shell(self, keys)
 
     def sweeps():
-        lemma._tables.cache_clear()
         reports = [verify_lemma(shell, mode="sampled", count=300, seed=1)]
         if comb(n, dim) <= lemma.EXHAUSTIVE_GUARD:
             reports.append(verify_lemma(shell, mode="exhaustive"))
         return reports
 
-    try:
-        fallback_reports = sweeps()
-        monkeypatch.setattr(lemma, "TABLE_BYTES", TABLE_BYTES)
-        monkeypatch.setattr(_Tables, "on_shell", recording)
-        assert sweeps() == fallback_reports
-    finally:
-        lemma._tables.cache_clear()
+    fallback_reports = sweeps()
+    monkeypatch.setattr(lemma, "TABLE_BYTES", TABLE_BYTES)
+    monkeypatch.setattr(_Tables, "on_shell", recording)
+    assert sweeps() == fallback_reports
     assert seen and min(lo for lo, _ in seen) >= 0 and max(hi for _, hi in seen) < radix**dim
 
 
@@ -660,7 +658,8 @@ def test_chunk_budget_does_not_change_reports(chunk, monkeypatch):
         (enumerate_shell(3, 9), dict(mode="exhaustive", extra_points=1)),
         (enumerate_shell(5, 5), dict(mode="sampled", count=1000, extra_points=1)),
     ]
-    H, neg = _group(4, 12, "signed-permutations"), _tables(4, 12).neg
+    tb = _Tables(enumerate_shell(4, 12))
+    H, neg = _group(tb, "signed-permutations"), tb.neg
     expected = [verify_lemma(shell, **kwargs) for shell, kwargs in sweeps]
     prefixes = _prefix_sequence(_canonical_sets(H, 4, neg))
     monkeypatch.setattr(lemma, "CHUNK_ELEMENTS", chunk)
@@ -681,9 +680,9 @@ def test_exhaustive_sweep_peak_memory_stays_small(dim, lam, m):
     single-point prefix filters no chord, one chunk holds 790,528; held
     at once they would peak at about 1.6 and 69 MiB.
     """
-    shell = enumerate_shell(dim, lam)
-    _exhaustive(shell, m, "signed-permutations")  # builds the tables and the group
-    peak, raised = peak_bytes_of(lambda: _exhaustive(shell, m, "signed-permutations"))
+    tb = _Tables(enumerate_shell(dim, lam))
+    _exhaustive(tb, m, "signed-permutations")  # warms numpy; each call builds its own group
+    peak, raised = peak_bytes_of(lambda: _exhaustive(tb, m, "signed-permutations"))
     assert raised is None
     assert peak < 4 * 2**20
 
@@ -710,11 +709,9 @@ def test_partial_shell_is_refused(monkeypatch):
     wrong = tuple(sorted(enumerate_shell(2, 25).points[:-1] + ((5, 1),)))
     with pytest.raises(ContractError, match="the 12 given points differ from the 12 points of"):
         verify_lemma(SphereShell(dim=2, lam=25, points=wrong, index=frozenset(wrong)))
-    # the enumeration stops once it passes the given points, below the cap or
-    # not, and with the tables cached or not
+    # the enumeration stops once it passes the given points, below the cap or not
     for cap in (lattice.MAX_POINTS, 11):
         monkeypatch.setattr(lattice, "MAX_POINTS", cap)
-        lemma._tables.cache_clear()
         for kwargs in (dict(mode="exhaustive"), dict(mode="sampled", count=10)):
             with pytest.raises(ContractError, match=r"the 4 given points differ from the more "
                                                     r"than 4 points of shell\(2, 25\)"):
@@ -761,6 +758,57 @@ def test_sweeps_run_in_process(monkeypatch, dim, lam, args, attempts, batches):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert verify_lemma(shell, **args, threads=4) == expected
     assert (expected.attempts, drawn) == (attempts, batches)
+
+
+def _record_builds(monkeypatch):
+    """Lists recording each _Tables built (a weakref), each group built and each enumeration."""
+    tables, groups, enumerated = [], [], []
+    init, group, enumerate_ = _Tables.__init__, lemma._group, lattice._enumerate
+
+    def recorded_tables(self, shell):
+        init(self, shell)
+        tables.append(weakref.ref(self))
+
+    def recorded_group(*args):
+        groups.append(args[-1])
+        return group(*args)
+
+    def recorded_enumerate(dim, lam, limit):
+        enumerated.append((dim, lam))
+        return enumerate_(dim, lam, limit)
+
+    monkeypatch.setattr(_Tables, "__init__", recorded_tables)
+    monkeypatch.setattr(lemma, "_group", recorded_group)
+    monkeypatch.setattr(lattice, "_enumerate", recorded_enumerate)
+    return tables, groups, enumerated
+
+
+SWEEPS = [(4, 12, dict(mode="exhaustive")), (5, 14, dict(mode="sampled", count=300, seed=2))]
+
+
+@pytest.mark.parametrize("dim,lam,kwargs", SWEEPS, ids=["exhaustive-4-12", "sampled-5-14"])
+def test_sweep_frees_its_tables_on_return(monkeypatch, dim, lam, kwargs):
+    # the report keeps the shell; the tables it was swept with are gone
+    shell = enumerate_shell(dim, lam)
+    tables, _, _ = _record_builds(monkeypatch)
+    report = verify_lemma(shell, **kwargs)
+    assert report.simplices_checked and tables
+    assert [ref() for ref in tables] == [None] * len(tables)
+
+
+@pytest.mark.parametrize("dim,lam,kwargs", SWEEPS, ids=["exhaustive-4-12", "sampled-5-14"])
+def test_sweep_builds_one_table_set_and_enumerates_once(monkeypatch, dim, lam, kwargs):
+    # each of two calls on one shell: one _Tables from the shell that
+    # require_whole enumerated to check it, and a group only when exhaustive
+    shell = enumerate_shell(dim, lam)
+    tables, groups, enumerated = _record_builds(monkeypatch)
+    for _ in range(2):
+        for record in (tables, groups, enumerated):
+            record.clear()
+        verify_lemma(shell, **kwargs)
+        assert len(tables) == 1
+        assert groups == (["signed-permutations"] if kwargs["mode"] == "exhaustive" else [])
+        assert enumerated == [(dim, lam)]
 
 
 def test_known_budget_excess_on_4_12_is_reported_and_sound():
@@ -814,7 +862,7 @@ def test_orbit_mapped_violations_equal_the_reference_path(lam, kind):
     directly.
     """
     shell = enumerate_shell(4, lam)
-    violations = _exhaustive(shell, 4, kind)["violations"]
+    violations = _exhaustive(_Tables(shell), 4, kind)["violations"]
     assert violations
     assert violations == _reference_reports(shell, [v.simplex.vertices for v in violations])
     index = {p: i for i, p in enumerate(shell.points)}

@@ -9,6 +9,7 @@ from torus_spectra import (
     SpectrumEngine,
     SweepRow,
     enumerate_shell,
+    lemma,
     sweep,
     sweeps,
 )
@@ -90,3 +91,20 @@ def test_sweep_builds_one_engine_per_shell_and_frees_it_before_the_lemma(monkeyp
     assert [(row.lam, row.shell_count) for row in rows] == shells
     assert [(lam, size) for lam, size, _ in built] == shells
     assert lemma_calls == [(lam, [True] * (i + 1)) for i, (lam, _) in enumerate(shells)]
+
+
+def test_lemma_sweeps_never_hold_two_tables_at_once(monkeypatch):
+    # each shell's sweep frees its tables (about 14 MB on each of these
+    # shells) before the next shell's sweep builds its own
+    built, alive = [], []
+    init = lemma._Tables.__init__
+
+    def recorded(self, shell):
+        alive.append(sum(ref() is not None for ref in built))
+        init(self, shell)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(lemma._Tables, "__init__", recorded)
+    rows = sweep(4, 101, 106, lemma_sample=200)
+    assert all(row.lemma is not None for row in rows)
+    assert alive == [0] * len(rows)
